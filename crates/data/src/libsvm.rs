@@ -66,6 +66,12 @@ pub fn read_libsvm<R: BufRead>(
                 line: lineno + 1,
                 message: format!("bad label: {e}"),
             })?;
+        if !label.is_finite() {
+            return Err(LibsvmError::Parse {
+                line: lineno + 1,
+                message: format!("label {label} is not finite as f32"),
+            });
+        }
         let mut indices = Vec::new();
         let mut values = Vec::new();
         for tok in parts {
@@ -87,6 +93,14 @@ pub fn read_libsvm<R: BufRead>(
                 line: lineno + 1,
                 message: format!("bad value {v:?}: {e}"),
             })?;
+            // `inf`, `NaN` and out-of-range literals such as 1e300 all
+            // parse as non-finite f32s.
+            if !v.is_finite() {
+                return Err(LibsvmError::Parse {
+                    line: lineno + 1,
+                    message: format!("value {v} at index {i} is not finite as f32"),
+                });
+            }
             let zero_based = i - 1;
             if let Some(&last) = indices.last() {
                 if zero_based <= last {
@@ -216,6 +230,26 @@ mod tests {
     fn rejects_zero_index() {
         let text = "1 0:1\n";
         assert!(read_libsvm(BufReader::new(text.as_bytes()), None, 0.9).is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_values_and_labels() {
+        for (text, line) in [
+            ("1 1:inf\n", 1),
+            ("1 1:0.5\n-1 2:NaN\n", 2),
+            ("1 3:1e300\n", 1),
+            ("1 1:-1e39\n", 1),
+            ("inf 1:1\n", 1),
+            ("1e300 1:1\n", 1),
+        ] {
+            match read_libsvm(BufReader::new(text.as_bytes()), None, 0.9) {
+                Err(LibsvmError::Parse { line: l, message }) => {
+                    assert_eq!(l, line, "{text:?}");
+                    assert!(message.contains("not finite"), "{text:?}: {message}");
+                }
+                other => panic!("{text:?} should be rejected, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,12 @@ pub enum DbError {
     BadParam(String),
     /// Checkpoint/resume failure (mismatched seed, shape, or optimizer).
     Checkpoint(String),
+    /// Training diverged: the loss or a parameter became non-finite in
+    /// `epoch`. Nothing is stored, published or checkpointed.
+    Diverged {
+        /// Epoch (0-based) in which divergence was detected.
+        epoch: usize,
+    },
     /// Storage-layer failure.
     Storage(StorageError),
 }
@@ -42,6 +48,11 @@ impl fmt::Display for DbError {
             DbError::UnknownColumn(c) => write!(f, "unknown column: {c}"),
             DbError::BadParam(m) => write!(f, "bad parameter: {m}"),
             DbError::Checkpoint(m) => write!(f, "checkpoint error: {m}"),
+            DbError::Diverged { epoch } => write!(
+                f,
+                "training diverged in epoch {epoch}: non-finite loss or parameters \
+                 (try a smaller learning_rate)"
+            ),
             DbError::Storage(e) => write!(f, "storage error: {e}"),
         }
     }

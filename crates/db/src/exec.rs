@@ -24,13 +24,12 @@ use crate::error::DbError;
 use crate::sql::Predicate;
 use corgipile_data::rng::shuffle_in_place;
 use corgipile_ml::{
-    train_minibatch, ComputeCostModel, Model, Optimizer, TrainCheckpoint, TrainOptions,
+    train_minibatch_rows, ComputeCostModel, Model, Optimizer, TrainCheckpoint, TrainOptions,
 };
 use corgipile_shuffle::{BlockReversalShuffle, StrategyParams};
 use corgipile_storage::{
-    block_refs, run_epoch_pipeline, Counter, DeviceHandle, DoubleBufferModel, PipelineError,
-    PipelineReport, PoolHandle, RetryPolicy, SimDevice, Table, Telemetry, Tuple, TupleBatch,
-    TupleRef,
+    run_epoch_pipeline, Counter, DeviceHandle, DoubleBufferModel, PipelineError, PipelineReport,
+    PoolHandle, RetryPolicy, SimDevice, Table, Telemetry, TupleBatch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -240,46 +239,56 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-///// Materialize the projection of one tuple: a fresh dense tuple over the
-/// selected feature columns (constructed, not cloned, so the zero-clone
-/// accounting of the fill path is preserved).
-pub(crate) fn project_tuple(t: &Tuple, cols: &[usize]) -> Tuple {
-    Tuple::dense(
-        t.id,
-        cols.iter().map(|&i| t.features.get(i)).collect(),
-        t.label,
-    )
+/// The per-(seed, epoch) salt of the in-buffer shuffle keys.
+pub(crate) fn shuffle_salt(seed: u64, epoch: u64) -> u64 {
+    splitmix64((seed ^ 0x70_5F).wrapping_add(epoch.wrapping_mul(0x9E37_79B9)))
 }
 
-/// Compatibility-shim state backing the default [`PhysicalOperator::next`]
-/// and [`PhysicalOperator::next_ref`] implementations: the most recent
-/// batch pulled via [`PhysicalOperator::next_batch`] plus a read position.
-/// Every operator owns one and exposes it through
-/// [`PhysicalOperator::cursor`]; batch-native callers never touch it.
-#[derive(Debug, Default)]
-pub struct BatchCursor {
-    batch: TupleBatch,
-    pos: usize,
+/// The in-buffer shuffle key of tuple `id` under `salt`. splitmix64 is
+/// bijective, so keys are unique within an epoch.
+pub(crate) fn shuffle_key(salt: u64, id: u64) -> u64 {
+    splitmix64(salt ^ id)
 }
 
-impl BatchCursor {
-    /// Drop any unread refs and reset the read position (keeps capacity).
-    pub fn reset(&mut self) {
-        self.batch.clear();
-        self.pos = 0;
+/// Append the rows of `src` that pass `predicate` to `out`, projected onto
+/// the feature columns `projection` (as dense rows) when one is given.
+/// Returns the number of rows dropped.
+fn copy_rows(
+    src: &TupleBatch,
+    predicate: Option<&Predicate>,
+    projection: Option<&[usize]>,
+    out: &mut TupleBatch,
+) -> u64 {
+    let mut dropped = 0u64;
+    for r in src {
+        if predicate.is_some_and(|p| !p.matches(r)) {
+            dropped += 1;
+            continue;
+        }
+        match projection {
+            Some(cols) => out.push_dense(r.id, cols.iter().map(|&i| r.features.get(i)), r.label),
+            None => out.push_row(r),
+        }
     }
+    dropped
 }
+
+/// Cursor state behind [`PhysicalOperator::cursor`].
+///
+/// The executor drains whole columnar batches and keeps no tuple-at-a-time
+/// read position, so the cursor carries no state. The type and the trait
+/// method stay so that `PhysicalOperator` implementations outside this
+/// crate keep compiling.
+#[derive(Debug, Default)]
+pub struct BatchCursor;
 
 /// A pull-based physical operator, batch-at-a-time.
 ///
-/// The primary interface is [`PhysicalOperator::next_batch`]: the caller
-/// hands down a reusable [`TupleBatch`] and the operator refills it with
-/// the next run of zero-copy [`TupleRef`]s, so the steady-state inner loop
-/// makes **one virtual call per batch** instead of one per tuple (and,
-/// once capacities are warm, zero allocations). The tuple-at-a-time
-/// `next`/`next_ref` methods survive as thin compatibility shims draining
-/// a [`BatchCursor`]; do not interleave them with direct `next_batch`
-/// calls within one pass — the cursor may hold undrained refs.
+/// The interface is [`PhysicalOperator::next_batch`]: the caller hands
+/// down a reusable columnar [`TupleBatch`] and the operator refills it
+/// with the next run of rows, so the steady-state inner loop makes **one
+/// virtual call per batch** instead of one per tuple (and, once
+/// capacities are warm, zero allocations).
 ///
 /// `Send` is a supertrait so a boxed plan can be mutably borrowed into the
 /// producer thread of the double-buffered pipeline (see
@@ -308,36 +317,8 @@ pub trait PhysicalOperator: Send {
     fn next_block(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
         self.next_batch(ctx, out)
     }
-    /// The operator's compatibility-shim cursor (state for the default
-    /// `next`/`next_ref`). Must be reset on `init` and `rescan`.
+    /// The operator's [`BatchCursor`].
     fn cursor(&mut self) -> &mut BatchCursor;
-    /// Tuple-at-a-time compatibility shim over [`PhysicalOperator::next_batch`]:
-    /// drains the cursor's current batch one zero-copy ref at a time,
-    /// pulling the next batch when it runs dry.
-    fn next_ref(&mut self, ctx: &mut ExecContext) -> Result<Option<TupleRef>, DbError> {
-        loop {
-            let cur = self.cursor();
-            if cur.pos < cur.batch.len() {
-                let r = cur.batch[cur.pos].clone();
-                cur.pos += 1;
-                return Ok(Some(r));
-            }
-            // Take the batch out of the cursor so `self` is free for the
-            // `next_batch` call, then put it back (keeping its capacity).
-            let mut batch = std::mem::take(&mut self.cursor().batch);
-            let more = self.next_batch(ctx, &mut batch)?;
-            let cur = self.cursor();
-            cur.batch = batch;
-            cur.pos = 0;
-            if !more {
-                return Ok(None);
-            }
-        }
-    }
-    /// Materializing compatibility shim: one cloned [`Tuple`] per call.
-    fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Tuple>, DbError> {
-        Ok(self.next_ref(ctx)?.map(|r| r.tuple().clone()))
-    }
     /// Reset for another pass (PostgreSQL `ExecReScan*`); block orders are
     /// re-randomized.
     fn rescan(&mut self, ctx: &mut ExecContext);
@@ -364,11 +345,11 @@ pub enum ScanMode {
 
 /// The `BlockShuffle` operator.
 ///
-/// Optionally carries a fused predicate and projection (WHERE/SELECT
-/// pushdown): the predicate is evaluated on each decoded tuple *before* its
-/// ref enters any queue or buffer, so filtered tuples never occupy
-/// TupleShuffle capacity, and the projection materializes only surviving
-/// tuples.
+/// Blocks are decoded straight from page bytes into the caller's columnar
+/// batch. Optionally carries a fused predicate and projection
+/// (WHERE/SELECT pushdown): the predicate is evaluated on each decoded row
+/// *before* the batch leaves the scan, so filtered tuples never occupy
+/// TupleShuffle capacity, and the projection writes only surviving rows.
 pub struct BlockShuffleOp {
     table: Arc<Table>,
     mode: ScanMode,
@@ -381,6 +362,8 @@ pub struct BlockShuffleOp {
     projection: Option<Vec<usize>>,
     shared_scan: bool,
     initialized: bool,
+    /// Decode scratch for projected scans (capacity reused across blocks).
+    decoded: TupleBatch,
     shim: BatchCursor,
     actuals: OpStats,
 }
@@ -400,20 +383,21 @@ impl BlockShuffleOp {
             projection: None,
             shared_scan: false,
             initialized: false,
-            shim: BatchCursor::default(),
+            decoded: TupleBatch::new(),
+            shim: BatchCursor,
             actuals: OpStats::default(),
         }
     }
 
-    /// Fuse a pushed-down predicate into the scan (evaluated zero-copy on
-    /// each decoded tuple before it is queued or buffered).
+    /// Fuse a pushed-down predicate into the scan (evaluated on each
+    /// decoded row before it is queued or buffered).
     pub fn with_predicate(mut self, predicate: Predicate) -> Self {
         self.predicate = Some(predicate);
         self
     }
 
     /// Fuse a pushed-down projection (feature column indices) into the
-    /// scan: surviving tuples are re-materialized over the selected columns.
+    /// scan: surviving rows are written over the selected columns only.
     pub fn with_projection(mut self, columns: Vec<usize>) -> Self {
         self.projection = Some(columns);
         self
@@ -452,17 +436,17 @@ impl BlockShuffleOp {
         self.next_block = 0;
     }
 
-    /// Read the next block of the shuffled order, appending its surviving
-    /// tuples to `out` as `Arc`-shared [`TupleRef`]s (zero tuple clones:
-    /// the buffer-pool path shares the cached `Arc`, the decode paths wrap
-    /// the freshly decoded block once). Returns `Ok(false)` when no blocks
-    /// remain; after a fully filtered or skipped dead block `out` may be
-    /// left unchanged.
+    /// Read the next block of the shuffled order into the empty `out`,
+    /// keeping its surviving rows. Device reads decode page bytes straight
+    /// into `out` (or into the projection scratch); buffer-pool reads copy
+    /// the cached decoded block. Returns `Ok(false)` when no blocks remain;
+    /// after a fully filtered or skipped dead block `out` stays empty.
     fn load_next_block(
         &mut self,
         ctx: &mut ExecContext,
         out: &mut TupleBatch,
     ) -> Result<bool, DbError> {
+        debug_assert!(out.is_empty());
         if self.next_block >= self.order.len() {
             return Ok(false);
         }
@@ -474,33 +458,43 @@ impl BlockShuffleOp {
         let table = &self.table;
         let retry = &ctx.retry;
         let first = self.next_block == 0;
+        // Device reads decode into `dest`; pool reads return the shared
+        // decoded block instead.
+        let dest = if self.projection.is_some() {
+            self.decoded.clear();
+            &mut self.decoded
+        } else {
+            &mut *out
+        };
         let read = match self.mode {
             ScanMode::Sequential => match ctx.pool.as_deref_mut() {
                 // `WITH shared_scan = 1`: a sequential scan opts into the
                 // shared buffer pool, so repeated scans of a hot serving
                 // table hit cached blocks instead of re-reading the device.
-                Some(pool) if self.shared_scan => {
-                    pool.read_block_retry(table, block, ctx.dev, retry)
-                }
+                Some(pool) if self.shared_scan => pool
+                    .read_block_retry(table, block, ctx.dev, retry)
+                    .map(Some),
                 _ => ctx
                     .dev
-                    .with(|d| table.scan_block_sequential_retry(block, first, d, retry))
-                    .map(Arc::new),
+                    .with(|d| table.scan_block_sequential_retry_into(block, first, d, retry, dest))
+                    .map(|()| None),
             },
             ScanMode::RandomBlocks => match ctx.pool.as_deref_mut() {
-                Some(pool) => pool.read_block_retry(table, block, ctx.dev, retry),
+                Some(pool) => pool
+                    .read_block_retry(table, block, ctx.dev, retry)
+                    .map(Some),
                 None => ctx
                     .dev
-                    .with(|d| table.read_block_retry(block, d, retry))
-                    .map(Arc::new),
+                    .with(|d| table.read_block_retry_into(block, d, retry, dest))
+                    .map(|()| None),
             },
             ScanMode::Reversal => {
                 // Adjacent blocks (either direction) continue the stream;
                 // the epoch start and the rotation wrap pay the seek.
                 let seek = first || self.order[self.next_block - 1].abs_diff(block) != 1;
                 ctx.dev
-                    .with(|d| table.scan_block_sequential_retry(block, seek, d, retry))
-                    .map(Arc::new)
+                    .with(|d| table.scan_block_sequential_retry_into(block, seek, d, retry, dest))
+                    .map(|()| None)
             }
         };
         self.next_block += 1;
@@ -510,49 +504,20 @@ impl BlockShuffleOp {
         self.actuals.cache_hits += hits_after - hits_before;
         self.actuals.retries += ctx.dev.stats().retries - retries_before;
         match read {
-            Ok(tuples) => {
+            Ok(cached) => {
                 // Report the block read as a fill; a TupleShuffle above
                 // folds these into its own per-buffer entries.
                 let fill = ctx.dev.stats().io_seconds - io_before;
                 ctx.fill_io.push(fill);
                 self.actuals.io_seconds += fill;
-                match (&self.predicate, &self.projection) {
-                    (None, None) => {
-                        for r in block_refs(&tuples) {
-                            out.push(r);
-                        }
-                    }
-                    (pred, Some(cols)) => {
-                        // Projection (optionally after the predicate):
-                        // materialize surviving tuples over the selected
-                        // columns as one fresh Arc-shared block.
-                        let mut projected = Vec::new();
-                        for t in tuples.iter() {
-                            if pred.as_ref().is_none_or(|p| p.matches(t)) {
-                                projected.push(project_tuple(t, cols));
-                            } else {
-                                self.actuals.rows_filtered += 1;
-                            }
-                        }
-                        if !projected.is_empty() {
-                            for r in block_refs(&Arc::new(projected)) {
-                                out.push(r);
-                            }
-                        }
-                    }
-                    (Some(pred), None) => {
-                        // Zero-copy fast path: evaluate the predicate on the
-                        // Arc-shared ref before it enters any buffer; dropped
-                        // tuples cost no clone and no buffer slot.
-                        for r in block_refs(&tuples) {
-                            if pred.matches(&r) {
-                                out.push(r);
-                            } else {
-                                self.actuals.rows_filtered += 1;
-                            }
-                        }
-                    }
-                }
+                let predicate = self.predicate.as_ref();
+                let projection = self.projection.as_deref();
+                self.actuals.rows_filtered += match (cached, projection) {
+                    (Some(block), _) => copy_rows(&block, predicate, projection, out),
+                    (None, Some(_)) => copy_rows(&self.decoded, predicate, projection, out),
+                    // Decoded in place: filter by compacting the batch.
+                    (None, None) => predicate.map_or(0, |p| out.retain(|r| p.matches(r)) as u64),
+                };
             }
             Err(e) if ctx.on_fault == FaultAction::SkipBlock && e.is_retryable() => {
                 // Dead block after exhausted retries: degrade by moving
@@ -579,7 +544,6 @@ impl PhysicalOperator for BlockShuffleOp {
         self.epoch = 0;
         self.reshuffle();
         self.initialized = true;
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
@@ -620,13 +584,11 @@ impl PhysicalOperator for BlockShuffleOp {
 
     fn rescan(&mut self, _ctx: &mut ExecContext) {
         self.reshuffle();
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
     fn close(&mut self, _ctx: &mut ExecContext) {
         self.order.clear();
-        self.shim.reset();
         self.initialized = false;
     }
 
@@ -662,17 +624,21 @@ impl PhysicalOperator for BlockShuffleOp {
 /// post-buffer filter see the same fill boundaries and the same surviving
 /// order, so they train bit-identical models — while the pushdown plan
 /// buffers only survivors.
+///
+/// The shuffle moves row *indices*, not rows: each fill sorts one
+/// `(key, block, row)` entry per buffered row, then gathers the rows in key
+/// order into the outgoing batch — the paper's single buffer copy.
 pub struct TupleShuffleOp {
     child: Box<dyn PhysicalOperator>,
     capacity_blocks: usize,
     params: StrategyParams,
     epoch: u64,
-    buffer: Vec<TupleRef>,
-    /// Scratch batch the child's `next_block` fills into (capacity reused
-    /// across fills — the child is pulled block-at-a-time, never per tuple).
-    fetch: TupleBatch,
-    /// Persistent sort scratch for the keyed in-buffer shuffle.
-    keyed: Vec<(u64, TupleRef)>,
+    /// One columnar batch per buffered source block (capacities reused
+    /// across fills — the child is pulled block-at-a-time, never per
+    /// tuple).
+    blocks: Vec<TupleBatch>,
+    /// Sort scratch: `key << 64 | block << 32 | row` per buffered row.
+    keys: Vec<u128>,
     exhausted: bool,
     shim: BatchCursor,
     actuals: OpStats,
@@ -693,69 +659,75 @@ impl TupleShuffleOp {
             capacity_blocks,
             params,
             epoch: 0,
-            buffer: Vec::new(),
-            fetch: TupleBatch::new(),
-            keyed: Vec::new(),
+            blocks: Vec::new(),
+            keys: Vec::new(),
             exhausted: false,
-            shim: BatchCursor::default(),
+            shim: BatchCursor,
             actuals: OpStats::default(),
         }
     }
 
-    /// Pull one buffer window from the child, shuffle, and record the fill
-    /// cost into `ctx.fill_io`. Zero-copy: the buffer holds [`TupleRef`]s
-    /// into the child's `Arc`-shared blocks, and the key sort permutes
-    /// those refs — no tuple is cloned on the fill path. A window whose
+    /// Pull one buffer window from the child, shuffle it, gather it into
+    /// `out` and record the fill cost into `ctx.fill_io`. A window whose
     /// blocks were all filtered out (or skipped as dead) merges into the
     /// next window rather than surfacing an empty fill.
-    fn refill(&mut self, ctx: &mut ExecContext) -> Result<(), DbError> {
-        self.buffer.clear();
+    fn refill(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<(), DbError> {
         // Child fills recorded below us are folded into our own entry.
         let fills_base = ctx.fill_io.len();
         let io_before = ctx.dev.stats().io_seconds;
         let mut span = ctx.telemetry.span("db.tuple_shuffle.fill");
         let mut bytes = 0usize;
-        while self.buffer.is_empty() && !self.exhausted {
-            let mut blocks = 0usize;
-            while blocks < self.capacity_blocks {
-                if !self.child.next_block(ctx, &mut self.fetch)? {
+        let mut rows = 0usize;
+        let mut used = 0usize;
+        while rows == 0 && !self.exhausted {
+            used = 0;
+            while used < self.capacity_blocks {
+                if self.blocks.len() == used {
+                    self.blocks.push(TupleBatch::new());
+                }
+                let block = &mut self.blocks[used];
+                if !self.child.next_block(ctx, block)? {
                     self.exhausted = true;
                     break;
                 }
-                blocks += 1;
-                for r in self.fetch.iter() {
-                    bytes += r.encoded_len();
-                }
-                self.buffer.extend(self.fetch.iter().cloned());
+                bytes += block.encoded_bytes();
+                rows += block.len();
+                used += 1;
             }
         }
         // Buffer copy + shuffle cost (§4.1 overheads), charged on what was
         // actually buffered — pushdown plans pay only for survivors.
         ctx.dev
-            .charge_seconds(self.params.buffering_cost(self.buffer.len(), bytes));
+            .charge_seconds(self.params.buffering_cost(rows, bytes));
         // Deterministic in-buffer shuffle: order by a per-(seed, epoch,
         // tuple-id) hash key. splitmix64 is bijective, so keys are unique
         // within an epoch and the order does not depend on buffer arrival
         // positions — filtering below or above the buffer leaves the
-        // survivors' relative order unchanged. The keyed scratch persists
-        // across fills, so steady-state fills reuse both allocations.
-        let salt = splitmix64(
-            (self.params.seed ^ 0x70_5F).wrapping_add(self.epoch.wrapping_mul(0x9E37_79B9)),
-        );
-        self.keyed.clear();
-        self.keyed
-            .extend(self.buffer.drain(..).map(|r| (splitmix64(salt ^ r.id), r)));
-        self.keyed.sort_unstable_by_key(|(k, _)| *k);
-        self.buffer.extend(self.keyed.drain(..).map(|(_, r)| r));
+        // survivors' relative order unchanged. Unique keys also make the
+        // sort over packed `(key, block, row)` entries order by key alone.
+        let salt = shuffle_salt(self.params.seed, self.epoch);
+        self.keys.clear();
+        for (b, block) in self.blocks[..used].iter().enumerate() {
+            self.keys.extend((0..block.len()).map(|i| {
+                let key = shuffle_key(salt, block.id(i));
+                (u128::from(key) << 64) | ((b as u128) << 32) | i as u128
+            }));
+        }
+        self.keys.sort_unstable();
+        let arena = self.blocks[..used].iter().map(TupleBatch::arena_len).sum();
+        out.reserve(rows, arena);
+        for &k in &self.keys {
+            out.push_row(self.blocks[(k >> 32) as u32 as usize].row(k as u32 as usize));
+        }
         ctx.fill_io.truncate(fills_base);
-        if self.buffer.is_empty() {
+        if rows == 0 {
             // End-of-stream probe, not a fill: record nothing.
             span.cancel();
         } else {
             let fill = ctx.dev.stats().io_seconds - io_before;
             ctx.fill_io.push(fill);
             self.actuals.fills += 1;
-            self.actuals.buffered_tuples += self.buffer.len() as u64;
+            self.actuals.buffered_tuples += rows as u64;
             self.actuals.io_seconds += fill;
             span.add_sim_seconds(fill);
         }
@@ -771,9 +743,7 @@ impl PhysicalOperator for TupleShuffleOp {
     fn init(&mut self, ctx: &mut ExecContext) {
         self.child.init(ctx);
         self.epoch = 0;
-        self.buffer.clear();
         self.exhausted = false;
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
@@ -782,17 +752,13 @@ impl PhysicalOperator for TupleShuffleOp {
         // one handover, so the pipelined SGD consumer drains fill k while
         // the producer builds fill k+1.
         out.clear();
-        if self.buffer.is_empty() {
-            if self.exhausted {
-                return Ok(false);
-            }
-            self.refill(ctx)?;
-            if self.buffer.is_empty() {
-                return Ok(false);
-            }
+        if self.exhausted {
+            return Ok(false);
         }
-        out.extend_from_slice(&self.buffer);
-        self.buffer.clear();
+        self.refill(ctx, out)?;
+        if out.is_empty() {
+            return Ok(false);
+        }
         self.actuals.rows += out.len() as u64;
         self.actuals.batches += 1;
         Ok(true)
@@ -805,16 +771,12 @@ impl PhysicalOperator for TupleShuffleOp {
     fn rescan(&mut self, ctx: &mut ExecContext) {
         self.child.rescan(ctx);
         self.epoch += 1;
-        self.buffer.clear();
         self.exhausted = false;
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
     fn close(&mut self, ctx: &mut ExecContext) {
         self.child.close(ctx);
-        self.buffer.clear();
-        self.shim.reset();
     }
 
     fn collect_stats(&self, depth: usize, out: &mut Vec<OpStats>) {
@@ -833,7 +795,6 @@ impl PhysicalOperator for TupleShuffleOp {
 pub struct FilterOp {
     child: Box<dyn PhysicalOperator>,
     predicate: Predicate,
-    scratch: TupleBatch,
     shim: BatchCursor,
     actuals: OpStats,
 }
@@ -844,8 +805,7 @@ impl FilterOp {
         FilterOp {
             child,
             predicate,
-            scratch: TupleBatch::new(),
-            shim: BatchCursor::default(),
+            shim: BatchCursor,
             actuals: OpStats::default(),
         }
     }
@@ -858,25 +818,19 @@ impl PhysicalOperator for FilterOp {
 
     fn init(&mut self, ctx: &mut ExecContext) {
         self.child.init(ctx);
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
-        // Preserve the child's batch (= fill) boundaries; a batch whose
-        // tuples are all filtered is skipped, like a fully filtered fill.
-        out.clear();
+        // Preserve the child's batch (= fill) boundaries, filtering each
+        // in place; a batch whose tuples are all filtered is skipped, like
+        // a fully filtered fill.
         loop {
-            if !self.child.next_batch(ctx, &mut self.scratch)? {
+            if !self.child.next_batch(ctx, out)? {
                 return Ok(false);
             }
-            for r in self.scratch.iter() {
-                if self.predicate.matches(r) {
-                    out.push(r.clone());
-                } else {
-                    self.actuals.rows_filtered += 1;
-                }
-            }
+            let predicate = &self.predicate;
+            self.actuals.rows_filtered += out.retain(|r| predicate.matches(r)) as u64;
             if !out.is_empty() {
                 self.actuals.rows += out.len() as u64;
                 return Ok(true);
@@ -890,13 +844,11 @@ impl PhysicalOperator for FilterOp {
 
     fn rescan(&mut self, ctx: &mut ExecContext) {
         self.child.rescan(ctx);
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
     fn close(&mut self, ctx: &mut ExecContext) {
         self.child.close(ctx);
-        self.shim.reset();
     }
 
     fn collect_stats(&self, depth: usize, out: &mut Vec<OpStats>) {
@@ -910,8 +862,8 @@ impl PhysicalOperator for FilterOp {
 }
 
 /// The `Project` operator: a standalone projection node used when pushdown
-/// is disabled. Each surviving tuple is re-materialized over the selected
-/// feature columns (one fresh block per batch).
+/// is disabled. Each row is copied over the selected feature columns into
+/// the outgoing batch.
 pub struct ProjectOp {
     child: Box<dyn PhysicalOperator>,
     columns: Vec<usize>,
@@ -927,7 +879,7 @@ impl ProjectOp {
             child,
             columns,
             scratch: TupleBatch::new(),
-            shim: BatchCursor::default(),
+            shim: BatchCursor,
             actuals: OpStats::default(),
         }
     }
@@ -951,7 +903,6 @@ impl PhysicalOperator for ProjectOp {
 
     fn init(&mut self, ctx: &mut ExecContext) {
         self.child.init(ctx);
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
@@ -961,16 +912,7 @@ impl PhysicalOperator for ProjectOp {
             return Ok(false);
         }
         self.actuals.rows += self.scratch.len() as u64;
-        // One fresh Arc-shared block of projected tuples per batch — the
-        // only materializing stage of the batch pipeline (pushdown = 0).
-        let projected: Vec<Tuple> = self
-            .scratch
-            .iter()
-            .map(|r| project_tuple(r, &self.columns))
-            .collect();
-        for r in block_refs(&Arc::new(projected)) {
-            out.push(r);
-        }
+        copy_rows(&self.scratch, None, Some(&self.columns), out);
         Ok(true)
     }
 
@@ -980,13 +922,11 @@ impl PhysicalOperator for ProjectOp {
 
     fn rescan(&mut self, ctx: &mut ExecContext) {
         self.child.rescan(ctx);
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
     fn close(&mut self, ctx: &mut ExecContext) {
         self.child.close(ctx);
-        self.shim.reset();
     }
 
     fn collect_stats(&self, depth: usize, out: &mut Vec<OpStats>) {
@@ -1100,7 +1040,7 @@ impl FusedPipelineOp {
             post,
             label: label.into(),
             scratch: TupleBatch::new(),
-            shim: BatchCursor::default(),
+            shim: BatchCursor,
             batch_ctr: disabled.counter("db.exec.batches"),
             tuple_ctr: disabled.counter("db.exec.fused_tuples"),
             actuals: OpStats::default(),
@@ -1112,46 +1052,45 @@ impl FusedPipelineOp {
         &self.label
     }
 
-    fn apply_post(
-        post: &PostStage,
-        scratch: &TupleBatch,
+    /// Pull the next source batch (`block`: one source block) and run the
+    /// post stage over it into `out`. A filter compacts the source batch in
+    /// place; a projection copies the surviving rows out of the scratch.
+    fn pull(
+        &mut self,
+        ctx: &mut ExecContext,
         out: &mut TupleBatch,
-        rows_filtered: &mut u64,
-    ) {
-        match post {
-            PostStage::None => unreachable!("PostStage::None streams directly"),
-            PostStage::Filter(pred) => {
-                for r in scratch.iter() {
-                    if pred.matches(r) {
-                        out.push(r.clone());
-                    } else {
-                        *rows_filtered += 1;
-                    }
-                }
-            }
+        block: bool,
+    ) -> Result<bool, DbError> {
+        let projects = matches!(
+            self.post,
+            PostStage::Project(_) | PostStage::FilterProject(..)
+        );
+        let dest = if projects {
+            &mut self.scratch
+        } else {
+            &mut *out
+        };
+        let more = if block {
+            self.source.next_block(ctx, dest)?
+        } else {
+            self.source.next_batch(ctx, dest)?
+        };
+        if !more {
+            return Ok(false);
+        }
+        self.actuals.rows_filtered += match &self.post {
+            PostStage::None => 0,
+            PostStage::Filter(pred) => out.retain(|r| pred.matches(r)) as u64,
             PostStage::Project(cols) => {
-                let projected: Vec<Tuple> =
-                    scratch.iter().map(|r| project_tuple(r, cols)).collect();
-                for r in block_refs(&Arc::new(projected)) {
-                    out.push(r);
-                }
+                out.clear();
+                copy_rows(&self.scratch, None, Some(cols), out)
             }
             PostStage::FilterProject(pred, cols) => {
-                let mut projected = Vec::new();
-                for r in scratch.iter() {
-                    if pred.matches(r) {
-                        projected.push(project_tuple(r, cols));
-                    } else {
-                        *rows_filtered += 1;
-                    }
-                }
-                if !projected.is_empty() {
-                    for r in block_refs(&Arc::new(projected)) {
-                        out.push(r);
-                    }
-                }
+                out.clear();
+                copy_rows(&self.scratch, Some(pred), Some(cols), out)
             }
-        }
+        };
+        Ok(true)
     }
 
     fn note_batch(&mut self, rows: usize) {
@@ -1171,30 +1110,16 @@ impl PhysicalOperator for FusedPipelineOp {
         self.batch_ctr = ctx.telemetry.counter("db.exec.batches");
         self.tuple_ctr = ctx.telemetry.counter("db.exec.fused_tuples");
         self.source.init(ctx);
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
-        out.clear();
-        if matches!(self.post, PostStage::None) {
-            // Straight-through: the source fills `out` directly, no copy.
-            if !self.source.next_batch(ctx, out)? {
-                return Ok(false);
-            }
-            self.note_batch(out.len());
-            return Ok(true);
-        }
+        // With no post stage the source fills `out` directly, no copy.
         loop {
-            if !self.source.next_batch(ctx, &mut self.scratch)? {
+            if !self.pull(ctx, out, false)? {
+                out.clear();
                 return Ok(false);
             }
-            Self::apply_post(
-                &self.post,
-                &self.scratch,
-                out,
-                &mut self.actuals.rows_filtered,
-            );
             if !out.is_empty() {
                 self.note_batch(out.len());
                 return Ok(true);
@@ -1203,21 +1128,9 @@ impl PhysicalOperator for FusedPipelineOp {
     }
 
     fn next_block(&mut self, ctx: &mut ExecContext, out: &mut TupleBatch) -> Result<bool, DbError> {
-        out.clear();
-        if matches!(self.post, PostStage::None) {
-            if !self.source.next_block(ctx, out)? {
-                return Ok(false);
-            }
-        } else {
-            if !self.source.next_block(ctx, &mut self.scratch)? {
-                return Ok(false);
-            }
-            Self::apply_post(
-                &self.post,
-                &self.scratch,
-                out,
-                &mut self.actuals.rows_filtered,
-            );
+        if !self.pull(ctx, out, true)? {
+            out.clear();
+            return Ok(false);
         }
         // Consumed-but-empty blocks surface as Ok(true) with empty `out`,
         // preserving block-counting parents' fill alignment.
@@ -1231,13 +1144,11 @@ impl PhysicalOperator for FusedPipelineOp {
 
     fn rescan(&mut self, ctx: &mut ExecContext) {
         self.source.rescan(ctx);
-        self.shim.reset();
         self.actuals.loops += 1;
     }
 
     fn close(&mut self, ctx: &mut ExecContext) {
         self.source.close(ctx);
-        self.shim.reset();
     }
 
     fn collect_stats(&self, depth: usize, out: &mut Vec<OpStats>) {
@@ -1324,8 +1235,8 @@ pub struct SgdRunResult {
     /// Per-operator actual statistics (EXPLAIN ANALYZE), root first.
     pub op_stats: Vec<OpStats>,
     /// Summed pipeline report across all double-buffered epochs (all-zero
-    /// when the plan ran serially). `producer_tuple_clones` staying at 0 is
-    /// the zero-copy guarantee of the fill path.
+    /// when the plan ran serially). `producer_tuple_clones` stays at 0: the
+    /// fill path moves columnar batches and never clones a tuple.
     pub pipeline: PipelineReport,
 }
 
@@ -1358,18 +1269,18 @@ pub struct SgdOperator {
     double_buffer: bool,
     /// Fused-pipeline accounting: charge the per-tuple invocation overhead
     /// once per batch ([`ComputeCostModel::seconds_batched`]) and train
-    /// through the batched kernel ([`Model::sgd_batch`]). The tuple stream
+    /// through one [`Model::sgd_rows`] call per batch. The tuple stream
     /// and every model update are bit-identical to the interpreted path —
     /// only the simulated compute clock (and the real inner loop) change.
     pub fused: bool,
     /// Extra one-off cost charged before epoch 0 (e.g. a baseline's
     /// pre-shuffle), for bookkeeping parity with the library trainer.
     pub setup_seconds: f64,
-    /// Evaluate the training metric over these tuples after each epoch
+    /// Evaluate the training metric over this view after each epoch
     /// (§6's per-epoch accuracy output; costs one extra pass per epoch).
     /// The planner passes the training view — table tuples after any
     /// `WHERE` filter and projection — so metrics match what SGD saw.
-    pub eval_each_epoch: Option<Arc<Vec<Tuple>>>,
+    pub eval_each_epoch: Option<EvalView>,
     /// Write a [`TrainCheckpoint`] here (atomically) after every epoch.
     pub checkpoint_path: Option<PathBuf>,
     /// Resume from this checkpoint: completed epochs are replayed against a
@@ -1467,13 +1378,16 @@ impl SgdOperator {
             }
             sim_clock = ck.sim_clock;
         }
-        let per_tuple_mode = self.options.batch_size <= 1 && self.optimizer.name() == "sgd";
-        let fused = self.fused;
+        let per_tuple = self.options.batch_size <= 1 && self.optimizer.name() == "sgd";
         let mut pipeline_total = PipelineReport::default();
         // Serial-path batch, reused (capacity-preserving) across pulls and
         // epochs: after the first epoch warms it, the steady-state drain
         // performs zero allocations.
         let mut serial_batch = TupleBatch::new();
+        // The pipelined consumer hands drained batches back here, so the
+        // producer refills the same few arenas across fills and epochs.
+        let (recycle_tx, mut recycle_rx) = std::sync::mpsc::channel::<TupleBatch>();
+        let mut tally = EpochTally::default();
         for epoch in start_epoch..self.epochs {
             if epoch > 0 {
                 ctx.fill_io.clear();
@@ -1481,41 +1395,16 @@ impl SgdOperator {
                 self.child.rescan(ctx);
             }
             self.optimizer.set_epoch(epoch);
-            let mut fill_compute: Vec<f64> = Vec::new();
-            let mut pending: Vec<TupleRef> = Vec::new();
-            let mut loss_sum = 0.0f64;
-            let mut tuples = 0usize;
-            let mut gradient_steps = 0u64;
-
-            // One SGD update over `batch` (averaged gradients), attributing
-            // its compute cost to fill `$fill_idx`. The cost model's FLOP
-            // count comes from the flush-triggering tuple (the last pushed)
-            // for in-stream flushes, from the first pending tuple for the
-            // trailing partial batch.
-            macro_rules! flush_minibatch {
-                ($batch:expr, $fill_idx:expr, $last:expr, $model:expr, $optimizer:expr) => {{
-                    let batch = &mut *$batch;
-                    let bi = if $last { batch.len() - 1 } else { 0 };
-                    let flops = $model.flops_per_example(batch[bi].features.nnz());
-                    let stats = train_minibatch(
-                        $model.as_mut(),
-                        $optimizer.as_mut(),
-                        batch.iter().map(|r| r.tuple()),
-                        &self.options,
-                    );
-                    loss_sum += stats.mean_loss * stats.examples as f64;
-                    gradient_steps += 1;
-                    // Fused pipelines pay the invocation overhead once per
-                    // mini-batch; the interpreted tree pays it per tuple.
-                    fill_compute[$fill_idx] += if fused {
-                        self.compute.seconds_batched(flops * batch.len() as f64)
-                    } else {
-                        self.compute.seconds(flops, batch.len())
-                    };
-                    batch.clear();
-                }};
-            }
-
+            tally.start_epoch();
+            let mut kernel = SgdKernel {
+                model: self.model.as_mut(),
+                optimizer: self.optimizer.as_mut(),
+                options: &self.options,
+                compute: self.compute,
+                fused: self.fused,
+                per_tuple,
+            };
+            let mut diverged = false;
             if self.double_buffer {
                 // §6.3 for real: the producer thread pulls buffer fills
                 // through the operator tree (block reads, retries, fault
@@ -1525,71 +1414,32 @@ impl SgdOperator {
                 // `ctx.fill_io` entry its fill pushed, so compute is
                 // attributed to fills exactly as in the serial loop.
                 let child = &mut self.child;
-                let model = &mut self.model;
-                let optimizer = &mut self.optimizer;
                 let ctx = &mut *ctx;
-                let result = run_epoch_pipeline::<(Vec<TupleRef>, usize), DbError, _, _>(
+                let recycle_rx = &mut recycle_rx;
+                let result = run_epoch_pipeline::<(TupleBatch, usize), DbError, _, _>(
                     &tel,
-                    |sender| {
-                        let mut fill = TupleBatch::new();
-                        loop {
-                            let io_before = ctx.dev.stats().io_seconds;
-                            if !child.next_batch(ctx, &mut fill)? {
-                                return Ok(());
-                            }
-                            let fill_sim = ctx.dev.stats().io_seconds - io_before;
-                            let fill_idx = ctx.fill_io.len().saturating_sub(1);
-                            // Cross-thread handover surrenders the backing
-                            // Vec (one allocation per fill, inherent to
-                            // moving ownership through the channel).
-                            let refs = fill.take_refs();
-                            if !sender.fill_and_send(|span| {
-                                span.add_sim_seconds(fill_sim);
-                                (refs, fill_idx)
-                            }) {
-                                return Ok(());
-                            }
+                    move |sender| loop {
+                        let mut fill = recycle_rx.try_recv().unwrap_or_default();
+                        let io_before = ctx.dev.stats().io_seconds;
+                        if !child.next_batch(ctx, &mut fill)? {
+                            return Ok(());
+                        }
+                        let fill_sim = ctx.dev.stats().io_seconds - io_before;
+                        let fill_idx = ctx.fill_io.len().saturating_sub(1);
+                        if !sender.fill_and_send(|span| {
+                            span.add_sim_seconds(fill_sim);
+                            (fill, fill_idx)
+                        }) {
+                            return Ok(());
                         }
                     },
                     |(batch, fill_idx)| {
-                        while fill_compute.len() <= fill_idx {
-                            fill_compute.push(0.0);
-                        }
-                        tuples += batch.len();
-                        if per_tuple_mode && fused {
-                            // Fused kernel: one virtual call per batch, the
-                            // invocation overhead amortized across it. Same
-                            // update sequence as the per-tuple loop.
-                            let mut total_flops = 0.0f64;
-                            for r in &batch {
-                                total_flops += model.flops_per_example(r.features.nnz());
-                            }
-                            model.sgd_batch(&batch, optimizer.lr(), &mut loss_sum);
-                            gradient_steps += batch.len() as u64;
-                            fill_compute[fill_idx] += self.compute.seconds_batched(total_flops);
-                        } else if per_tuple_mode {
-                            for r in &batch {
-                                let flops = model.flops_per_example(r.features.nnz());
-                                loss_sum += model.loss(&r.features, r.label);
-                                model.sgd_step(&r.features, r.label, optimizer.lr());
-                                gradient_steps += 1;
-                                fill_compute[fill_idx] += self.compute.seconds(flops, 1);
-                            }
-                        } else {
-                            for r in batch {
-                                pending.push(r);
-                                if pending.len() >= self.options.batch_size {
-                                    flush_minibatch!(
-                                        &mut pending,
-                                        fill_idx,
-                                        true,
-                                        model,
-                                        optimizer
-                                    );
-                                }
-                            }
-                        }
-                        true
+                        kernel.train(&batch, fill_idx, &mut tally);
+                        diverged = !tally.loss_sum.is_finite();
+                        // The producer may already have finished; then the
+                        // arena is simply dropped.
+                        let _ = recycle_tx.send(batch);
+                        !diverged
                     },
                 );
                 match result {
@@ -1608,63 +1458,35 @@ impl SgdOperator {
                 }
             } else {
                 // Batch-at-a-time serial drain: one virtual call per batch
-                // through the operator tree, reusing `serial_batch`'s
-                // capacity across pulls — no per-tuple `next_ref` calls.
+                // through the operator tree.
                 while self.child.next_batch(ctx, &mut serial_batch)? {
                     let fill_now = ctx.fill_io.len().saturating_sub(1);
-                    while fill_compute.len() <= fill_now {
-                        fill_compute.push(0.0);
-                    }
-                    tuples += serial_batch.len();
-                    if per_tuple_mode && fused {
-                        // Fused kernel: the batch runs through one
-                        // monomorphized `sgd_batch` call (same update
-                        // sequence as the per-tuple loop), and the
-                        // invocation overhead is charged once per batch.
-                        let mut total_flops = 0.0f64;
-                        for r in serial_batch.iter() {
-                            total_flops += self.model.flops_per_example(r.features.nnz());
-                        }
-                        self.model
-                            .sgd_batch(&serial_batch, self.optimizer.lr(), &mut loss_sum);
-                        gradient_steps += serial_batch.len() as u64;
-                        fill_compute[fill_now] += self.compute.seconds_batched(total_flops);
-                    } else if per_tuple_mode {
-                        // Standard SGD: update per tuple in batch order
-                        // (§6.2), overhead charged per tuple.
-                        for r in serial_batch.iter() {
-                            let flops = self.model.flops_per_example(r.features.nnz());
-                            loss_sum += self.model.loss(&r.features, r.label);
-                            self.model
-                                .sgd_step(&r.features, r.label, self.optimizer.lr());
-                            gradient_steps += 1;
-                            fill_compute[fill_now] += self.compute.seconds(flops, 1);
-                        }
-                    } else {
-                        // Mini-batch SGD: batches span buffer fills, like a
-                        // DataLoader's batches span its internal buffers.
-                        for r in serial_batch.iter() {
-                            pending.push(r.clone());
-                            if pending.len() >= self.options.batch_size {
-                                flush_minibatch!(
-                                    &mut pending,
-                                    fill_now,
-                                    true,
-                                    self.model,
-                                    self.optimizer
-                                );
-                            }
-                        }
+                    kernel.train(&serial_batch, fill_now, &mut tally);
+                    if !tally.loss_sum.is_finite() {
+                        diverged = true;
+                        break;
                     }
                 }
             }
-            if !pending.is_empty() {
-                if fill_compute.is_empty() {
-                    fill_compute.push(0.0);
-                }
-                let last = fill_compute.len() - 1;
-                flush_minibatch!(&mut pending, last, false, self.model, self.optimizer);
+            if diverged {
+                return Err(DbError::Diverged { epoch });
             }
+            if !tally.pending.is_empty() {
+                if tally.fill_compute.is_empty() {
+                    tally.fill_compute.push(0.0);
+                }
+                let last = tally.fill_compute.len() - 1;
+                kernel.flush(last, false, &mut tally);
+            }
+            // Divergence guard: a non-finite loss or parameter fails the
+            // statement before anything is evaluated, checkpointed or
+            // published.
+            if !tally.loss_sum.is_finite() || kernel.model.params().iter().any(|p| !p.is_finite()) {
+                return Err(DbError::Diverged { epoch });
+            }
+            let fill_compute = &mut tally.fill_compute;
+            let (loss_sum, tuples, gradient_steps) =
+                (tally.loss_sum, tally.tuples, tally.gradient_steps);
 
             let mut io: Vec<f64> = ctx.fill_io.clone();
             while fill_compute.len() < io.len() {
@@ -1678,18 +1500,16 @@ impl SgdOperator {
                 io.resize(fill_compute.len(), 0.0);
             }
             let epoch_seconds = if self.double_buffer {
-                DoubleBufferModel::double_buffer(&io, &fill_compute)
+                DoubleBufferModel::double_buffer(&io, fill_compute)
             } else {
-                DoubleBufferModel::single_buffer(&io, &fill_compute)
+                DoubleBufferModel::single_buffer(&io, fill_compute)
             };
             sim_clock += epoch_seconds;
-            let train_metric = self.eval_each_epoch.as_ref().map(|all| {
-                if self.model.is_classifier() {
-                    corgipile_ml::accuracy(self.model.as_ref(), all.iter())
-                } else {
-                    corgipile_ml::r_squared(self.model.as_ref(), all.iter())
-                }
-            });
+            let train_metric = self
+                .eval_each_epoch
+                .as_ref()
+                .map(|view| view.metric(self.model.as_ref()))
+                .transpose()?;
             let epoch_io: f64 = io.iter().sum();
             let epoch_compute: f64 = fill_compute.iter().sum();
             let train_loss = if tuples > 0 {
@@ -1773,6 +1593,210 @@ impl SgdOperator {
     }
 }
 
+/// What the SGD root has accumulated in the current epoch.
+#[derive(Default)]
+struct EpochTally {
+    /// Simulated compute seconds attributed to each fill.
+    fill_compute: Vec<f64>,
+    loss_sum: f64,
+    tuples: usize,
+    gradient_steps: u64,
+    /// Rows waiting for a mini-batch update (mini-batches span fills,
+    /// like a DataLoader's batches span its internal buffers).
+    pending: TupleBatch,
+}
+
+impl EpochTally {
+    fn start_epoch(&mut self) {
+        self.fill_compute.clear();
+        self.loss_sum = 0.0;
+        self.tuples = 0;
+        self.gradient_steps = 0;
+        self.pending.clear();
+    }
+}
+
+/// The SGD root's update rule, borrowed apart from the operator so the
+/// pipelined consumer can run it while the producer owns the child.
+struct SgdKernel<'a> {
+    model: &'a mut dyn Model,
+    optimizer: &'a mut dyn Optimizer,
+    options: &'a TrainOptions,
+    compute: ComputeCostModel,
+    fused: bool,
+    /// Standard per-tuple SGD (batch size 1, plain SGD optimizer).
+    per_tuple: bool,
+}
+
+impl SgdKernel<'_> {
+    /// Train on one pulled batch, attributing its compute to fill
+    /// `fill_idx`.
+    fn train(&mut self, batch: &TupleBatch, fill_idx: usize, t: &mut EpochTally) {
+        if t.fill_compute.len() <= fill_idx {
+            t.fill_compute.resize(fill_idx + 1, 0.0);
+        }
+        t.tuples += batch.len();
+        if !self.per_tuple {
+            for r in batch {
+                t.pending.push_row(r);
+                if t.pending.len() >= self.options.batch_size {
+                    self.flush(fill_idx, true, t);
+                }
+            }
+            return;
+        }
+        // Per-tuple SGD in batch order (§6.2), one kernel call per batch.
+        // Fused pipelines pay the invocation overhead once per batch; the
+        // interpreted tree pays it per tuple. FLOPs are asked per row.
+        let compute = &mut t.fill_compute[fill_idx];
+        if self.fused {
+            let mut total_flops = 0.0f64;
+            for r in batch {
+                total_flops += self.model.flops_per_example(r.features.nnz());
+            }
+            *compute += self.compute.seconds_batched(total_flops);
+        } else {
+            for r in batch {
+                let flops = self.model.flops_per_example(r.features.nnz());
+                *compute += self.compute.seconds(flops, 1);
+            }
+        }
+        self.model
+            .sgd_rows(batch.rows(), self.optimizer.lr(), &mut t.loss_sum);
+        t.gradient_steps += batch.len() as u64;
+    }
+
+    /// One averaged update over the pending rows, attributing its compute
+    /// to fill `fill_idx`. The FLOP count comes from the flush-triggering
+    /// row (the last pushed) for in-stream flushes, from the first pending
+    /// row for the trailing partial batch.
+    fn flush(&mut self, fill_idx: usize, last: bool, t: &mut EpochTally) {
+        let n = t.pending.len();
+        let flops = self
+            .model
+            .flops_per_example(t.pending.row(if last { n - 1 } else { 0 }).features.nnz());
+        let stats = train_minibatch_rows(
+            &mut *self.model,
+            &mut *self.optimizer,
+            t.pending.rows(),
+            self.options,
+        );
+        t.loss_sum += stats.mean_loss * stats.examples as f64;
+        t.gradient_steps += 1;
+        t.fill_compute[fill_idx] += if self.fused {
+            self.compute.seconds_batched(flops * n as f64)
+        } else {
+            self.compute.seconds(flops, n)
+        };
+        t.pending.clear();
+    }
+}
+
+/// The tuples a training metric is computed over: a pinned table plus the
+/// query's `WHERE` filter and projection — exactly what SGD saw. The view
+/// is streamed block by block through one reused batch; no copy of the
+/// table is materialized and no device is charged.
+#[derive(Debug, Clone)]
+pub struct EvalView {
+    /// The pinned table.
+    pub table: Arc<Table>,
+    /// The query's `WHERE` predicate.
+    pub filter: Option<Predicate>,
+    /// The query's projected feature columns.
+    pub projection: Option<Vec<usize>>,
+}
+
+impl EvalView {
+    /// The whole table, unfiltered and unprojected.
+    pub fn table(table: Arc<Table>) -> Self {
+        EvalView {
+            table,
+            filter: None,
+            projection: None,
+        }
+    }
+
+    /// Call `f` with each block's view rows, in table order.
+    pub fn for_each_block(&self, mut f: impl FnMut(&TupleBatch)) -> Result<(), DbError> {
+        let (mut raw, mut rows) = (TupleBatch::new(), TupleBatch::new());
+        let plain = self.filter.is_none() && self.projection.is_none();
+        for b in 0..self.table.num_blocks() {
+            raw.clear();
+            self.table.decode_block_into(b, &mut raw)?;
+            if plain {
+                f(&raw);
+            } else {
+                rows.clear();
+                copy_rows(
+                    &raw,
+                    self.filter.as_ref(),
+                    self.projection.as_deref(),
+                    &mut rows,
+                );
+                f(&rows);
+            }
+        }
+        Ok(())
+    }
+
+    /// Accuracy (classifiers) or R² (regression) of `model` over the view:
+    /// bit-identical to [`corgipile_ml::accuracy`] /
+    /// [`corgipile_ml::r_squared`] over the materialized tuples, because
+    /// every sum runs over the same rows in the same order.
+    pub fn metric(&self, model: &dyn Model) -> Result<f64, DbError> {
+        let mut preds = Vec::new();
+        if model.is_classifier() {
+            let (mut correct, mut total) = (0usize, 0usize);
+            self.for_each_block(|rows| {
+                preds.clear();
+                model.predict_rows(rows.rows(), &mut preds);
+                correct += rows
+                    .iter()
+                    .zip(&preds)
+                    .filter(|(r, p)| **p == r.label)
+                    .count();
+                total += rows.len();
+            })?;
+            return Ok(if total == 0 {
+                0.0
+            } else {
+                correct as f64 / total as f64
+            });
+        }
+        // R² needs the label mean first: one pass for it, one for the sums.
+        let (mut sum_y, mut n) = (0.0f64, 0usize);
+        self.for_each_block(|rows| {
+            for r in rows {
+                sum_y += r.label as f64;
+            }
+            n += rows.len();
+        })?;
+        if n == 0 {
+            return Ok(0.0);
+        }
+        let mean_y = sum_y / n as f64;
+        let (mut ss_res, mut ss_tot) = (0.0f64, 0.0f64);
+        self.for_each_block(|rows| {
+            preds.clear();
+            model.predict_rows(rows.rows(), &mut preds);
+            for (r, p) in rows.iter().zip(&preds) {
+                let (y, pred) = (r.label as f64, *p as f64);
+                ss_res += (y - pred) * (y - pred);
+                ss_tot += (y - mean_y) * (y - mean_y);
+            }
+        })?;
+        Ok(if ss_tot == 0.0 {
+            if ss_res == 0.0 {
+                1.0
+            } else {
+                0.0
+            }
+        } else {
+            1.0 - ss_res / ss_tot
+        })
+    }
+}
+
 /// Result of running the `Predict` operator to completion (one serving
 /// batch query).
 #[derive(Debug)]
@@ -1803,9 +1827,10 @@ pub struct PredictRunResult {
 ///
 /// Like [`SgdOperator`] it is a driver, not a [`PhysicalOperator`]: it
 /// owns its child pipeline and a *pinned* immutable model
-/// ([`crate::ServableModel`]), pulls zero-copy [`TupleRef`] blocks, and
-/// regroups them into `batch_rows`-sized prediction batches run through
-/// [`Model::predict_batch_into`]. The pin is taken before the first block
+/// ([`crate::ServableModel`]), pulls columnar blocks, and regroups them
+/// into `batch_rows`-sized prediction batches run through
+/// [`Model::predict_rows`] over borrowed row slices (a batch spanning two
+/// blocks is predicted as two slices; no row is copied). The pin is taken before the first block
 /// is read, so a hot-reload publishing a newer version mid-scan never
 /// changes this batch's predictions.
 pub struct PredictOperator {
@@ -1843,7 +1868,6 @@ impl PredictOperator {
         let m = self.model.model();
         let is_classifier = m.is_classifier();
         let mut predictions: Vec<f32> = Vec::new();
-        let mut batch: Vec<TupleRef> = Vec::with_capacity(self.batch_rows);
         let mut batch_wall_seconds: Vec<f64> = Vec::new();
         let mut compute_seconds = 0.0f64;
         // Online metric accumulators: exact-match count for classifiers;
@@ -1851,26 +1875,37 @@ impl PredictOperator {
         let mut correct = 0u64;
         let (mut sum_y, mut sum_y2, mut ss_res) = (0.0f64, 0.0f64, 0.0f64);
         let mut batches = 0u64;
-        let fused = self.fused;
+        // The open prediction batch: rows so far, the nnz of its first row
+        // (its FLOP estimate) and when it started.
+        let mut open_rows = 0usize;
+        let mut open_nnz = 0usize;
+        let mut started = std::time::Instant::now();
+        let mut close_batch = |rows: usize, nnz: usize, started: std::time::Instant| {
+            let flops = m.inference_flops_per_example(nnz);
+            compute_seconds += if self.fused {
+                self.compute.seconds_batched(flops * rows as f64)
+            } else {
+                self.compute.seconds(flops, rows)
+            };
+            batches += 1;
+            batch_wall_seconds.push(started.elapsed().as_secs_f64());
+        };
 
-        {
-            // Scoped so the closure's borrows of the accumulators end here.
-            let mut flush = |batch: &mut Vec<TupleRef>| {
-                if batch.is_empty() {
-                    return;
+        // Block-at-a-time drain; each block is cut into the slices that
+        // fill the open `batch_rows`-sized prediction batch.
+        let mut fetch = TupleBatch::new();
+        while self.child.next_block(ctx, &mut fetch)? {
+            let mut at = 0usize;
+            while at < fetch.len() {
+                if open_rows == 0 {
+                    open_nnz = fetch.row(at).features.nnz();
+                    started = std::time::Instant::now();
                 }
-                let started = std::time::Instant::now();
-                let xs: Vec<&corgipile_storage::FeatureVec> =
-                    batch.iter().map(|r| &r.features).collect();
-                let start = predictions.len();
-                m.predict_batch_into(&xs, &mut predictions);
-                let flops = m.inference_flops_per_example(batch[0].features.nnz());
-                compute_seconds += if fused {
-                    self.compute.seconds_batched(flops * batch.len() as f64)
-                } else {
-                    self.compute.seconds(flops, batch.len())
-                };
-                for (r, pred) in batch.iter().zip(&predictions[start..]) {
+                let take = (self.batch_rows - open_rows).min(fetch.len() - at);
+                let slice = fetch.slice(at..at + take);
+                let first = predictions.len();
+                m.predict_rows(slice, &mut predictions);
+                for (r, pred) in slice.iter().zip(&predictions[first..]) {
                     let y = f64::from(r.label);
                     if is_classifier {
                         if *pred == r.label {
@@ -1883,23 +1918,16 @@ impl PredictOperator {
                         ss_res += e * e;
                     }
                 }
-                batches += 1;
-                batch_wall_seconds.push(started.elapsed().as_secs_f64());
-                batch.clear();
-            };
-
-            // Block-at-a-time drain into `batch_rows`-sized prediction
-            // batches; the fetch batch's capacity is reused across blocks.
-            let mut fetch = TupleBatch::new();
-            while self.child.next_block(ctx, &mut fetch)? {
-                for r in fetch.iter() {
-                    batch.push(r.clone());
-                    if batch.len() >= self.batch_rows {
-                        flush(&mut batch);
-                    }
+                open_rows += take;
+                at += take;
+                if open_rows == self.batch_rows {
+                    close_batch(open_rows, open_nnz, started);
+                    open_rows = 0;
                 }
             }
-            flush(&mut batch);
+        }
+        if open_rows > 0 {
+            close_batch(open_rows, open_nnz, started);
         }
 
         let rows = predictions.len() as u64;
@@ -1967,8 +1995,9 @@ mod tests {
 
     fn drain(op: &mut dyn PhysicalOperator, ctx: &mut ExecContext) -> Vec<u64> {
         let mut ids = Vec::new();
-        while let Some(t) = op.next(ctx).unwrap() {
-            ids.push(t.id);
+        let mut batch = TupleBatch::new();
+        while op.next_batch(ctx, &mut batch).unwrap() {
+            ids.extend(batch.iter().map(|r| r.id));
         }
         ids
     }
@@ -2167,7 +2196,7 @@ mod tests {
             3,
             true,
         );
-        op.eval_each_epoch = Some(Arc::new(t.all_tuples()));
+        op.eval_each_epoch = Some(EvalView::table(t.clone()));
         let mut dev = DeviceHandle::private(SimDevice::in_memory());
         let mut ctx = ExecContext::new(&mut dev);
         let result = op.execute(&mut ctx).unwrap();
@@ -2246,10 +2275,10 @@ mod tests {
         let mut ctx = ExecContext::with_pool(&mut dev, &mut pool);
         let mut op = BlockShuffleOp::new(t, ScanMode::RandomBlocks, 5);
         op.init(&mut ctx);
-        while op.next(&mut ctx).unwrap().is_some() {}
+        drain(&mut op, &mut ctx);
         let cold = ctx.dev.stats().io_seconds;
         op.rescan(&mut ctx);
-        while op.next(&mut ctx).unwrap().is_some() {}
+        drain(&mut op, &mut ctx);
         let warm = ctx.dev.stats().io_seconds - cold;
         assert_eq!(warm, 0.0, "all blocks must come from shared_buffers");
         assert!(pool.stats().hits > 0 && pool.stats().misses > 0);
@@ -2386,10 +2415,11 @@ mod tests {
         let mut op = BlockShuffleOp::new(t, ScanMode::RandomBlocks, 2);
         op.init(&mut ctx);
         let mut err = None;
+        let mut batch = TupleBatch::new();
         loop {
-            match op.next(&mut ctx) {
-                Ok(Some(_)) => continue,
-                Ok(None) => break,
+            match op.next_batch(&mut ctx, &mut batch) {
+                Ok(true) => continue,
+                Ok(false) => break,
                 Err(e) => {
                     err = Some(e);
                     break;
@@ -2637,7 +2667,7 @@ mod tests {
         assert_eq!(result.pipeline.batches_consumed, result.pipeline.fills);
         assert_eq!(
             result.pipeline.producer_tuple_clones, 0,
-            "the fill path must hand out Arc-shared TupleRefs, never cloned Tuples"
+            "the fill path moves columnar batches, never cloned Tuples"
         );
     }
 

@@ -39,6 +39,7 @@ pub mod model_store;
 pub mod options;
 pub mod plan;
 mod proptests;
+mod reference;
 pub mod serving;
 pub mod session;
 pub mod sql;
@@ -49,8 +50,8 @@ pub use corgipile_storage::{TableSnapshot, Telemetry, TelemetrySnapshot};
 pub use database::Database;
 pub use error::DbError;
 pub use exec::{
-    BatchCursor, BlockShuffleOp, CheckpointSink, DbEpochRecord, ExecContext, FaultAction, FilterOp,
-    FusedPipelineOp, FusedSource, OpStats, PhysicalOperator, PostStage, PredictOperator,
+    BatchCursor, BlockShuffleOp, CheckpointSink, DbEpochRecord, EvalView, ExecContext, FaultAction,
+    FilterOp, FusedPipelineOp, FusedSource, OpStats, PhysicalOperator, PostStage, PredictOperator,
     PredictRunResult, ProjectOp, ScanMode, SgdOperator, SgdRunResult, TupleShuffleOp,
 };
 pub use model_store::{ModelRecord, ModelStore, ModelStoreOptions, ModelStoreStats};

@@ -218,8 +218,8 @@ impl LogicalPlan {
     /// Build the canonical logical plan for a serving query:
     /// `Predict ← Filter? ← Scan(sequential)`. Pushdown then fuses the
     /// filter into the scan exactly as for training — inference scans
-    /// use the same rewrite, so a predicate is evaluated on the zero-copy
-    /// block path before any tuple is batched.
+    /// use the same rewrite, so a predicate is evaluated on each decoded
+    /// block before any tuple is batched.
     pub fn build_predict(spec: &PredictPlanSpec, table: &Table) -> Result<LogicalPlan, DbError> {
         let dim = table.get_tuple(0)?.features.dim();
         validate_filter(spec.filter.as_ref(), dim)?;

@@ -26,7 +26,7 @@ use crate::catalog::{Catalog, StoredModel};
 use crate::database::Database;
 use crate::error::DbError;
 use crate::exec::{
-    project_tuple, DbEpochRecord, ExecContext, FaultAction, OpStats, PredictOperator, SgdOperator,
+    DbEpochRecord, EvalView, ExecContext, FaultAction, OpStats, PredictOperator, SgdOperator,
 };
 use crate::options::{QueryOptions, Statement};
 use crate::plan::{build_physical_with, BuildOptions, LogicalPlan, PredictPlanSpec, TrainPlanSpec};
@@ -101,7 +101,7 @@ pub struct ServeOptions {
     /// Explicit version pin; `None` serves the cache-active version.
     pub version: Option<u32>,
     /// Optional row predicate, lowered through the planner's pushdown so
-    /// it is evaluated on the zero-copy block path before batching.
+    /// it is evaluated on each decoded block before batching.
     pub filter: Option<Predicate>,
     /// Tuples per prediction batch.
     pub batch_rows: usize,
@@ -932,22 +932,11 @@ impl Session {
         sgd.setup_seconds = setup_seconds;
         sgd.fused = physical.fused;
         // Evaluation sees exactly what training saw: the filtered,
-        // projected tuple set.
-        let eval: Arc<Vec<Tuple>> = {
-            let all = table.all_tuples();
-            if filter.is_some() || projected.is_some() {
-                Arc::new(
-                    all.iter()
-                        .filter(|t| filter.as_ref().is_none_or(|p| p.matches(t)))
-                        .map(|t| match &projected {
-                            Some(cols) => project_tuple(t, cols),
-                            None => t.clone(),
-                        })
-                        .collect(),
-                )
-            } else {
-                Arc::new(all)
-            }
+        // projected tuple set, streamed from the pinned table.
+        let eval = EvalView {
+            table: Arc::clone(&table),
+            filter: filter.clone(),
+            projection: projected.clone(),
         };
         if report_metrics {
             sgd.eval_each_epoch = Some(eval.clone());
@@ -1066,11 +1055,7 @@ impl Session {
         }
 
         // --- Evaluate & store --------------------------------------------
-        let final_metric = if result.model.is_classifier() {
-            accuracy(result.model.as_ref(), eval.iter())
-        } else {
-            r_squared(result.model.as_ref(), eval.iter())
-        };
+        let final_metric = eval.metric(result.model.as_ref())?;
         let train_loss = result.epochs.last().map(|e| e.train_loss).unwrap_or(0.0);
         let stored = StoredModel {
             kind: kind.clone(),
@@ -1215,7 +1200,7 @@ impl Session {
 
         // --- First pin: model shape and strategy resolve here ------------
         let mut snapshot = self.catalog().snapshot(table_name)?;
-        let kind = self.resolve_model_kind(model_name_raw, &snapshot)?;
+        let kind = self.resolve_model_kind(model_name_raw, snapshot.table())?;
         let mut sparams = StrategyParams::default()
             .with_buffer_fraction(buffer_fraction)
             .with_seed(seed)
@@ -1236,21 +1221,10 @@ impl Session {
         let dim_all = snapshot.get_tuple(0)?.features.dim();
         let projected = projection.feature_indices();
         let dim = projected.as_ref().map(|c| c.len()).unwrap_or(dim_all);
-        let eval_view = |table: &Arc<Table>| -> Arc<Vec<Tuple>> {
-            let all = table.all_tuples();
-            if filter.is_some() || projected.is_some() {
-                Arc::new(
-                    all.iter()
-                        .filter(|t| filter.as_ref().is_none_or(|p| p.matches(t)))
-                        .map(|t| match &projected {
-                            Some(cols) => project_tuple(t, cols),
-                            None => t.clone(),
-                        })
-                        .collect(),
-                )
-            } else {
-                Arc::new(all)
-            }
+        let eval_view = |table: &Arc<Table>| EvalView {
+            table: Arc::clone(table),
+            filter: filter.clone(),
+            projection: projected.clone(),
         };
 
         // --- Chunk loop ---------------------------------------------------
@@ -1382,12 +1356,7 @@ impl Session {
         }
 
         // --- Evaluate & store (against the last pinned snapshot) ----------
-        let eval = eval_view(&final_table);
-        let final_metric = if trained.is_classifier() {
-            accuracy(trained.as_ref(), eval.iter())
-        } else {
-            r_squared(trained.as_ref(), eval.iter())
-        };
+        let final_metric = eval_view(&final_table).metric(trained.as_ref())?;
         let train_loss = all_epochs.last().map(|e| e.train_loss).unwrap_or(0.0);
         let stored_name = params
             .get("model_name")
@@ -1476,24 +1445,24 @@ impl Session {
         })
     }
 
-    fn resolve_model_kind(&self, name: &str, table: &Table) -> Result<ModelKind, DbError> {
-        let classes = || -> usize {
-            let max = table
-                .all_tuples()
-                .iter()
-                .map(|t| t.label as i64)
-                .max()
-                .unwrap_or(1);
-            (max + 1).max(2) as usize
+    fn resolve_model_kind(&self, name: &str, table: &Arc<Table>) -> Result<ModelKind, DbError> {
+        let classes = || -> Result<usize, DbError> {
+            let mut max = None;
+            EvalView::table(Arc::clone(table)).for_each_block(|rows| {
+                max = rows.iter().map(|r| r.label as i64).max().max(max);
+            })?;
+            Ok((max.unwrap_or(1) + 1).max(2) as usize)
         };
         match name {
             "svm" => Ok(ModelKind::Svm),
             "lr" | "logit" | "logistic" => Ok(ModelKind::LogisticRegression),
             "linreg" | "linear_regression" => Ok(ModelKind::LinearRegression),
-            "softmax" => Ok(ModelKind::Softmax { classes: classes() }),
+            "softmax" => Ok(ModelKind::Softmax {
+                classes: classes()?,
+            }),
             "mlp" => Ok(ModelKind::Mlp {
                 hidden: vec![32],
-                classes: classes(),
+                classes: classes()?,
             }),
             other => Err(DbError::UnknownModelKind(other.to_string())),
         }
@@ -1525,7 +1494,7 @@ impl Session {
     /// Pins an immutable [`ServableModel`] from the engine's model cache
     /// *before* the first block is read, lowers the scan through the
     /// planner (an optional predicate is pushed into the scan and
-    /// evaluated zero-copy, before any tuple is batched), and runs
+    /// evaluated on each decoded block, before any tuple is batched), and runs
     /// [`PredictOperator`] over `batch_rows`-sized batches. A concurrent
     /// `TRAIN` publishing a newer version mid-scan never changes this
     /// run's predictions — the pin holds until the run returns.
@@ -1743,6 +1712,51 @@ mod tests {
             }
             _ => panic!("expected predictions"),
         }
+    }
+
+    #[test]
+    fn diverging_train_fails_typed_and_publishes_nothing() {
+        let mut s = session_with_higgs(2000);
+        s.execute(
+            "SELECT * FROM higgs TRAIN BY linreg WITH max_epoch_num = 1, \
+             learning_rate = 0.001, model_name = m",
+        )
+        .unwrap();
+        let good = s.catalog().model("m").unwrap().params;
+        let ck = std::env::temp_dir().join(format!("diverged-{}.ck", std::process::id()));
+        let _ = std::fs::remove_file(&ck);
+        for knobs in [
+            String::new(),
+            ", double_buffer = 0, fuse = 0".to_string(),
+            ", batch_size = 4".to_string(),
+            format!(", checkpoint = '{}'", ck.display()),
+        ] {
+            let err = s
+                .execute(&format!(
+                    "SELECT * FROM higgs TRAIN BY linreg WITH max_epoch_num = 2, \
+                     learning_rate = 1e3, model_name = m{knobs}"
+                ))
+                .unwrap_err();
+            assert_eq!(err, DbError::Diverged { epoch: 0 }, "{knobs}");
+        }
+        assert!(!ck.exists(), "a diverged epoch must not be checkpointed");
+        // Neither the catalog nor the serving cache saw the NaN model.
+        assert_eq!(s.catalog().model("m").unwrap().params, good);
+        match s.execute("PREDICT m ON higgs").unwrap() {
+            QueryResult::Serve(p) => {
+                assert_eq!(p.version, 1);
+                assert!(p.predictions.iter().all(|y| y.is_finite()));
+            }
+            other => panic!("expected a serving result, got {other:?}"),
+        }
+        assert!(s
+            .execute(
+                "SELECT * FROM higgs TRAIN BY linreg CONTINUOUS WITH max_epoch_num = 2, \
+                 refresh = 1, learning_rate = 1e3, model_name = fresh"
+            )
+            .is_err());
+        assert!(s.catalog().model("fresh").is_err());
+        assert!(s.execute("PREDICT fresh ON higgs").is_err());
     }
 
     #[test]

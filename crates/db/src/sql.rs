@@ -20,7 +20,7 @@
 
 use crate::error::DbError;
 pub use corgipile_shuffle::StrategyKind;
-use corgipile_storage::Tuple;
+use corgipile_storage::RowRef;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -100,8 +100,8 @@ impl ColumnRef {
         }
     }
 
-    /// Numeric value of this column for a tuple.
-    pub fn value_of(self, t: &Tuple) -> f64 {
+    /// Numeric value of this column for a row.
+    pub fn value_of(self, t: RowRef<'_>) -> f64 {
         match self {
             ColumnRef::Id => t.id as f64,
             ColumnRef::Label => f64::from(t.label),
@@ -196,8 +196,8 @@ pub enum Predicate {
 }
 
 impl Predicate {
-    /// Evaluate the predicate against one tuple.
-    pub fn matches(&self, t: &Tuple) -> bool {
+    /// Evaluate the predicate against one row.
+    pub fn matches(&self, t: RowRef<'_>) -> bool {
         match self {
             Predicate::Cmp { col, op, value } => op.eval(col.value_of(t), *value),
             Predicate::And(a, b) => a.matches(t) && b.matches(t),
@@ -723,13 +723,16 @@ fn parse_tokens(t: &mut Tokens) -> Result<Query, DbError> {
                     let tok = t.bump().ok_or_else(|| {
                         DbError::Parse("expected numeric literal, found end of input".into())
                     })?;
+                    // Values are stored as f32: a literal such as 1e300
+                    // is finite as f64 but would land on the page as inf.
                     let v = tok
                         .parse::<f64>()
                         .ok()
-                        .filter(|v| v.is_finite())
+                        .filter(|v| (*v as f32).is_finite())
                         .ok_or_else(|| {
                             DbError::Parse(format!(
-                                "INSERT values must be finite numeric literals, found {tok:?}"
+                                "INSERT values must be numeric literals finite as f32, \
+                                 found {tok:?}"
                             ))
                         })?;
                     vals.push(v);
@@ -1003,6 +1006,23 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn insert_rejects_values_that_overflow_f32() {
+        // 1e300 is a finite f64 but stores as f32 inf; 3e38 still fits.
+        for bad in [
+            "INSERT INTO t VALUES (1e300, 1)",
+            "INSERT INTO t VALUES (1, -1e39)",
+            "INSERT INTO t VALUES (inf, 1)",
+            "INSERT INTO t VALUES (NaN, 1)",
+        ] {
+            match parse(bad) {
+                Err(DbError::Parse(m)) => assert!(m.contains("finite"), "{bad}: {m}"),
+                other => panic!("{bad:?} should fail to parse, got {other:?}"),
+            }
+        }
+        assert!(parse("INSERT INTO t VALUES (3e38, -3e38)").is_ok());
     }
 
     #[test]
@@ -1461,16 +1481,16 @@ mod tests {
 
     #[test]
     fn predicate_matches_tuples() {
-        let t = Tuple::dense(7, vec![0.5, -2.0, 3.0], 1.0);
+        let t = corgipile_storage::Tuple::dense(7, vec![0.5, -2.0, 3.0], 1.0);
         let (_, _, _, filter, _) =
             train_parts("SELECT * FROM x WHERE f0 >= 0.5 AND f1 < 0 AND label = 1 TRAIN BY svm");
-        assert!(filter.as_ref().unwrap().matches(&t));
+        assert!(filter.as_ref().unwrap().matches(t.row()));
         let (_, _, _, filter, _) =
             train_parts("SELECT * FROM x WHERE id < 7 OR f2 > 2.5 TRAIN BY svm");
-        assert!(filter.as_ref().unwrap().matches(&t));
+        assert!(filter.as_ref().unwrap().matches(t.row()));
         let (_, _, _, filter, _) =
             train_parts("SELECT * FROM x WHERE id < 7 AND f2 > 2.5 TRAIN BY svm");
-        assert!(!filter.as_ref().unwrap().matches(&t));
+        assert!(!filter.as_ref().unwrap().matches(t.row()));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! per-tuple updates implemented here.
 
 use crate::model::Model;
-use corgipile_storage::FeatureVec;
+use corgipile_storage::{FeatureRef, FeatureVec, RowSlice};
 
 /// The loss attached to the linear score `s = w·x + b`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +46,54 @@ impl LinearModel {
 
     /// The raw score `w·x + b`.
     pub fn score(&self, x: &FeatureVec) -> f32 {
+        self.score_of(x.view())
+    }
+
+    fn score_of(&self, x: FeatureRef<'_>) -> f32 {
         x.dot(&self.params[..self.dim]) + self.params[self.dim]
+    }
+
+    /// The loss at score `s` for label `y`.
+    fn loss_at(&self, s: f32, y: f32) -> f64 {
+        let s = s as f64;
+        let y = y as f64;
+        match self.task {
+            LinearTask::Logistic => {
+                // ln(1 + e^{−ys}) computed stably.
+                let z = -y * s;
+                if z > 30.0 {
+                    z
+                } else {
+                    z.exp().ln_1p()
+                }
+            }
+            LinearTask::Hinge => (1.0 - y * s).max(0.0),
+            LinearTask::Squared => 0.5 * (s - y) * (s - y),
+        }
+    }
+
+    /// One SGD step at the pre-update score `s` (sparse-aware: touches
+    /// only the stored coordinates).
+    fn step_at(&mut self, x: FeatureRef<'_>, s: f32, y: f32, lr: f32) {
+        let g = self.dloss_dscore(s, y);
+        if g == 0.0 {
+            return;
+        }
+        x.axpy_into(-lr * g, &mut self.params[..self.dim]);
+        self.params[self.dim] -= lr * g;
+    }
+
+    fn label_at(&self, s: f32) -> f32 {
+        match self.task {
+            LinearTask::Squared => s,
+            _ => {
+                if s >= 0.0 {
+                    1.0
+                } else {
+                    -1.0
+                }
+            }
+        }
     }
 
     /// dLoss/dScore at `(x, y)`.
@@ -83,21 +130,7 @@ impl Model for LinearModel {
     }
 
     fn loss(&self, x: &FeatureVec, y: f32) -> f64 {
-        let s = self.score(x) as f64;
-        let y = y as f64;
-        match self.task {
-            LinearTask::Logistic => {
-                // ln(1 + e^{−ys}) computed stably.
-                let z = -y * s;
-                if z > 30.0 {
-                    z
-                } else {
-                    z.exp().ln_1p()
-                }
-            }
-            LinearTask::Hinge => (1.0 - y * s).max(0.0),
-            LinearTask::Squared => 0.5 * (s - y) * (s - y),
-        }
+        self.loss_at(self.score(x), y)
     }
 
     fn grad(&self, x: &FeatureVec, y: f32, grad: &mut [f32]) {
@@ -110,41 +143,30 @@ impl Model for LinearModel {
     }
 
     fn sgd_step(&mut self, x: &FeatureVec, y: f32, lr: f32) {
-        // Sparse fast path: touch only the non-zero coordinates.
-        let g = self.dloss_dscore(self.score(x), y);
-        if g == 0.0 {
-            return;
+        let s = self.score(x);
+        self.step_at(x.view(), s, y, lr);
+    }
+
+    fn sgd_rows(&mut self, rows: RowSlice<'_>, lr: f32, loss_sum: &mut f64) {
+        // One score per row serves both the loss and the step: both read
+        // the pre-update parameters, so this equals loss + sgd_step.
+        for r in rows {
+            let s = self.score_of(r.features);
+            *loss_sum += self.loss_at(s, r.label);
+            self.step_at(r.features, s, r.label, lr);
         }
-        x.axpy_into(-lr * g, &mut self.params[..self.dim]);
-        self.params[self.dim] -= lr * g;
     }
 
     fn predict_label(&self, x: &FeatureVec) -> f32 {
-        let s = self.score(x);
-        match self.task {
-            LinearTask::Squared => s,
-            _ => {
-                if s >= 0.0 {
-                    1.0
-                } else {
-                    -1.0
-                }
-            }
-        }
+        self.label_at(self.score(x))
     }
 
-    fn predict_batch_into(&self, xs: &[&FeatureVec], out: &mut Vec<f32>) {
-        // Serving fast path: the weight slice and bias are hoisted once, so
-        // the batch loop is a bare `dense_dot` per tuple.
-        let (w, b) = (&self.params[..self.dim], self.params[self.dim]);
-        out.reserve(xs.len());
-        match self.task {
-            LinearTask::Squared => out.extend(xs.iter().map(|x| x.dot(w) + b)),
-            _ => out.extend(
-                xs.iter()
-                    .map(|x| if x.dot(w) + b >= 0.0 { 1.0 } else { -1.0 }),
-            ),
-        }
+    fn predict_rows(&self, rows: RowSlice<'_>, out: &mut Vec<f32>) {
+        out.reserve(rows.len());
+        out.extend(
+            rows.iter()
+                .map(|r| self.label_at(self.score_of(r.features))),
+        );
     }
 
     fn is_classifier(&self) -> bool {

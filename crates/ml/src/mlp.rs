@@ -10,7 +10,7 @@
 
 use crate::model::Model;
 use crate::softmax::softmax;
-use corgipile_storage::{dense_axpy, dense_dot, FeatureVec};
+use corgipile_storage::{dense_axpy, dense_dot, FeatureRef, FeatureVec, RowSlice};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -79,7 +79,7 @@ impl Mlp {
 
     /// Forward pass; returns per-layer pre-activation inputs (activations)
     /// and the final logits.
-    fn forward(&self, x: &FeatureVec) -> (Vec<Vec<f32>>, Vec<f32>) {
+    fn forward(&self, x: FeatureRef<'_>) -> (Vec<Vec<f32>>, Vec<f32>) {
         let mut acts: Vec<Vec<f32>> = Vec::with_capacity(self.shapes.len());
         let mut a: Vec<f32> = (0..self.dim).map(|i| x.get(i)).collect();
         for (li, s) in self.shapes.iter().enumerate() {
@@ -103,31 +103,12 @@ impl Mlp {
 
     /// Logits for an input.
     pub fn logits(&self, x: &FeatureVec) -> Vec<f32> {
-        self.forward(x).1
-    }
-}
-
-impl Model for Mlp {
-    fn num_params(&self) -> usize {
-        self.params.len()
+        self.forward(x.view()).1
     }
 
-    fn params(&self) -> &[f32] {
-        &self.params
-    }
-
-    fn params_mut(&mut self) -> &mut [f32] {
-        &mut self.params
-    }
-
-    fn loss(&self, x: &FeatureVec, y: f32) -> f64 {
-        let p = softmax(&self.logits(x));
-        -(p[y as usize].max(1e-12) as f64).ln()
-    }
-
-    fn grad(&self, x: &FeatureVec, y: f32, grad: &mut [f32]) {
-        let (acts, logits) = self.forward(x);
-        let p = softmax(&logits);
+    /// Accumulate the gradient of one example into `grad`, given its
+    /// forward pass (`acts`) and output probabilities `p`.
+    fn backward(&self, acts: &[Vec<f32>], p: Vec<f32>, y: f32, grad: &mut [f32]) {
         // dL/dz for the output layer.
         let mut delta: Vec<f32> = p;
         delta[y as usize] -= 1.0;
@@ -165,15 +146,68 @@ impl Model for Mlp {
             }
         }
     }
+}
+
+/// Index of the largest logit (the last one on ties).
+fn argmax(logits: &[f32]) -> f32 {
+    logits
+        .iter()
+        .enumerate()
+        .max_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap())
+        .map(|(i, _)| i as f32)
+        .unwrap_or(0.0)
+}
+
+/// Cross-entropy loss given the output probabilities `p`.
+fn loss_at(p: &[f32], y: f32) -> f64 {
+    -(p[y as usize].max(1e-12) as f64).ln()
+}
+
+impl Model for Mlp {
+    fn num_params(&self) -> usize {
+        self.params.len()
+    }
+
+    fn params(&self) -> &[f32] {
+        &self.params
+    }
+
+    fn params_mut(&mut self) -> &mut [f32] {
+        &mut self.params
+    }
+
+    fn loss(&self, x: &FeatureVec, y: f32) -> f64 {
+        loss_at(&softmax(&self.logits(x)), y)
+    }
+
+    fn grad(&self, x: &FeatureVec, y: f32, grad: &mut [f32]) {
+        let (acts, logits) = self.forward(x.view());
+        self.backward(&acts, softmax(&logits), y, grad);
+    }
+
+    fn sgd_rows(&mut self, rows: RowSlice<'_>, lr: f32, loss_sum: &mut f64) {
+        // One forward pass per row serves both the loss and the gradient;
+        // the step is the default `sgd_step`'s dense update.
+        let mut g = vec![0.0f32; self.params.len()];
+        for r in rows {
+            let (acts, logits) = self.forward(r.features);
+            let p = softmax(&logits);
+            *loss_sum += loss_at(&p, r.label);
+            g.iter_mut().for_each(|gi| *gi = 0.0);
+            self.backward(&acts, p, r.label, &mut g);
+            for (p, gi) in self.params.iter_mut().zip(&g) {
+                *p -= lr * gi;
+            }
+        }
+    }
 
     fn predict_label(&self, x: &FeatureVec) -> f32 {
-        let logits = self.logits(x);
-        logits
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap())
-            .map(|(i, _)| i as f32)
-            .unwrap_or(0.0)
+        argmax(&self.logits(x))
+    }
+
+    fn predict_rows(&self, rows: RowSlice<'_>, out: &mut Vec<f32>) {
+        out.reserve(rows.len());
+        out.extend(rows.iter().map(|r| argmax(&self.forward(r.features).1)));
     }
 
     fn flops_per_example(&self, _nnz: usize) -> f64 {

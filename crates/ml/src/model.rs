@@ -3,7 +3,7 @@
 use crate::linear::{LinearModel, LinearTask};
 use crate::mlp::Mlp;
 use crate::softmax::SoftmaxRegression;
-use corgipile_storage::{FeatureVec, TupleRef};
+use corgipile_storage::{FeatureVec, RowSlice, TupleRef};
 
 /// A trainable model with a flat parameter vector.
 ///
@@ -47,13 +47,10 @@ pub trait Model: Send + Sync {
     /// accumulate its pre-update loss into `loss_sum` and apply
     /// [`Model::sgd_step`].
     ///
-    /// This is the vectorized executor's training kernel: one virtual call
-    /// per batch instead of two per tuple. Because default trait methods
-    /// are monomorphized per implementor, `self.loss`/`self.sgd_step`
-    /// dispatch *statically* inside this body. The loss accumulation order
-    /// and the update sequence are exactly the interpreted per-tuple
-    /// loop's, so trained models and reported training loss stay
-    /// bit-identical.
+    /// The engine trains through [`Model::sgd_rows`]; this entry point over
+    /// `Arc`-shared tuples stays for callers outside the engine. The loss
+    /// accumulation order and the update sequence are exactly the
+    /// per-tuple loop's, so results are bit-identical to it.
     fn sgd_batch(&mut self, batch: &[TupleRef], lr: f32, loss_sum: &mut f64) {
         for r in batch {
             *loss_sum += self.loss(&r.features, r.label);
@@ -61,17 +58,47 @@ pub trait Model: Send + Sync {
         }
     }
 
+    /// Per-tuple SGD over borrowed rows of a columnar batch: for each row
+    /// in order, accumulate its pre-update loss into `loss_sum` and apply
+    /// [`Model::sgd_step`]. The executor's training kernel.
+    ///
+    /// The default copies each row into one reused scratch [`FeatureVec`]
+    /// and calls [`Model::loss`]/[`Model::sgd_step`], so a model (or a
+    /// decorator) that implements only those stays bit-identical. Linear,
+    /// softmax and MLP models override it to run straight on the borrowed
+    /// rows; overrides must produce the same bits as the default.
+    fn sgd_rows(&mut self, rows: RowSlice<'_>, lr: f32, loss_sum: &mut f64) {
+        let mut x = FeatureVec::Dense(Vec::new());
+        for r in rows {
+            r.features.copy_into(&mut x);
+            *loss_sum += self.loss(&x, r.label);
+            self.sgd_step(&x, r.label, lr);
+        }
+    }
+
     /// Predicted label: sign (±1) for binary classifiers, class index for
     /// multi-class, real value for regression.
     fn predict_label(&self, x: &FeatureVec) -> f32;
 
-    /// Batched inference: the predicted label of every feature vector in
-    /// `xs`, appended to `out` in order (the serving path's unit of work).
-    ///
-    /// The default loops [`Model::predict_label`]; linear and softmax
-    /// models override it to hoist the weight slices out of the per-tuple
-    /// path so the loop runs straight over the unrolled `dense_dot`
-    /// kernel. Overrides must stay bit-identical to the default.
+    /// Batched inference over borrowed rows: the predicted label of every
+    /// row, appended to `out` in order (the serving and evaluation paths'
+    /// unit of work). The default copies each row into a reused scratch
+    /// [`FeatureVec`] and calls [`Model::predict_label`]; overrides must be
+    /// bit-identical to it.
+    fn predict_rows(&self, rows: RowSlice<'_>, out: &mut Vec<f32>) {
+        let mut x = FeatureVec::Dense(Vec::new());
+        out.reserve(rows.len());
+        for r in rows {
+            r.features.copy_into(&mut x);
+            out.push(self.predict_label(&x));
+        }
+    }
+
+    /// Batched inference over owned vectors: the predicted label of every
+    /// feature vector in `xs`, appended to `out` in order. The engine
+    /// serves through [`Model::predict_rows`]; this entry point stays for
+    /// callers outside the engine. Overrides must stay bit-identical to
+    /// the default.
     fn predict_batch_into(&self, xs: &[&FeatureVec], out: &mut Vec<f32>) {
         out.reserve(xs.len());
         for x in xs {
@@ -199,7 +226,7 @@ mod tests {
 
     #[test]
     fn batched_prediction_is_bit_identical_to_per_tuple() {
-        // The serving path leans on predict_batch_into overrides; any
+        // Batched entry points must agree with predict_label; any
         // divergence from predict_label would break the hot-reload
         // bit-identity guarantee.
         let kinds = [
@@ -283,6 +310,100 @@ mod tests {
                 scalar_loss.to_bits(),
                 "{k}: loss accumulation diverged"
             );
+        }
+    }
+
+    /// Forwards only the per-example methods, so the batch entry points
+    /// run their trait defaults over the inner model.
+    struct OldMethodsOnly(Box<dyn Model>);
+
+    impl Model for OldMethodsOnly {
+        fn num_params(&self) -> usize {
+            self.0.num_params()
+        }
+        fn params(&self) -> &[f32] {
+            self.0.params()
+        }
+        fn params_mut(&mut self) -> &mut [f32] {
+            self.0.params_mut()
+        }
+        fn loss(&self, x: &FeatureVec, y: f32) -> f64 {
+            self.0.loss(x, y)
+        }
+        fn grad(&self, x: &FeatureVec, y: f32, grad: &mut [f32]) {
+            self.0.grad(x, y, grad)
+        }
+        fn sgd_step(&mut self, x: &FeatureVec, y: f32, lr: f32) {
+            self.0.sgd_step(x, y, lr)
+        }
+        fn predict_label(&self, x: &FeatureVec) -> f32 {
+            self.0.predict_label(x)
+        }
+        fn flops_per_example(&self, nnz: usize) -> f64 {
+            self.0.flops_per_example(nnz)
+        }
+    }
+
+    #[test]
+    fn row_kernels_are_bit_identical_to_per_tuple_methods() {
+        use corgipile_storage::{Tuple, TupleBatch};
+        let kinds = [
+            ModelKind::LogisticRegression,
+            ModelKind::Svm,
+            ModelKind::LinearRegression,
+            ModelKind::Softmax { classes: 3 },
+            ModelKind::Mlp {
+                hidden: vec![5],
+                classes: 3,
+            },
+        ];
+        // Dense and sparse rows, labels valid for every kind (0/1/2 are
+        // class indices; the binary models treat them as raw targets).
+        let tuples: Vec<Tuple> = (0..40u64)
+            .map(|i| {
+                let label = (i % 3) as f32;
+                if i % 4 == 0 {
+                    Tuple::sparse(i, 6, vec![1, (2 + i % 4) as u32], vec![0.5, -1.25], label)
+                } else {
+                    Tuple::dense(
+                        i,
+                        (0..6)
+                            .map(|j| ((i * 5 + j * 7) % 13) as f32 / 4.0 - 1.5)
+                            .collect(),
+                        label,
+                    )
+                }
+            })
+            .collect();
+        let batch = TupleBatch::from_tuples(&tuples);
+        for k in kinds {
+            let mut rows = build_model(&k, 6, 7);
+            let mut scalar = build_model(&k, 6, 7);
+            let mut defaults = OldMethodsOnly(build_model(&k, 6, 7));
+            let (mut l_rows, mut l_scalar, mut l_defaults) = (0.0f64, 0.0f64, 0.0f64);
+            for start in (0..tuples.len()).step_by(7) {
+                let end = (start + 7).min(tuples.len());
+                rows.sgd_rows(batch.slice(start..end), 0.05, &mut l_rows);
+                defaults.sgd_rows(batch.slice(start..end), 0.05, &mut l_defaults);
+                for t in &tuples[start..end] {
+                    l_scalar += scalar.loss(&t.features, t.label);
+                    scalar.sgd_step(&t.features, t.label, 0.05);
+                }
+            }
+            assert_eq!(rows.params(), scalar.params(), "{k}: params diverged");
+            assert_eq!(defaults.params(), scalar.params(), "{k}: default diverged");
+            assert_eq!(l_rows.to_bits(), l_scalar.to_bits(), "{k}: loss diverged");
+            assert_eq!(l_defaults.to_bits(), l_scalar.to_bits(), "{k}");
+
+            let (mut p_rows, mut p_defaults) = (Vec::new(), Vec::new());
+            rows.predict_rows(batch.rows(), &mut p_rows);
+            OldMethodsOnly(rows).predict_rows(batch.rows(), &mut p_defaults);
+            let p_scalar: Vec<f32> = tuples
+                .iter()
+                .map(|t| scalar.predict_label(&t.features))
+                .collect();
+            assert_eq!(p_rows, p_scalar, "{k}: predictions diverged");
+            assert_eq!(p_defaults, p_scalar, "{k}");
         }
     }
 

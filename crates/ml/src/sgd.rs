@@ -7,7 +7,7 @@
 
 use crate::model::Model;
 use crate::optimizer::Optimizer;
-use corgipile_storage::Tuple;
+use corgipile_storage::{FeatureVec, RowSlice, Tuple};
 
 /// Options for one training run.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,8 +195,20 @@ impl MinibatchTrainer {
 
     /// Accumulate one tuple, stepping the optimizer on batch boundaries.
     pub fn feed(&mut self, model: &mut dyn Model, opt: &mut dyn Optimizer, t: &Tuple) {
-        self.loss_sum += model.loss(&t.features, t.label);
-        model.grad(&t.features, t.label, &mut self.grad);
+        self.feed_example(model, opt, &t.features, t.label);
+    }
+
+    /// Accumulate one example `(x, y)`, stepping the optimizer on batch
+    /// boundaries.
+    pub fn feed_example(
+        &mut self,
+        model: &mut dyn Model,
+        opt: &mut dyn Optimizer,
+        x: &FeatureVec,
+        y: f32,
+    ) {
+        self.loss_sum += model.loss(x, y);
+        model.grad(x, y, &mut self.grad);
         self.in_batch += 1;
         self.n += 1;
         if self.in_batch == self.options.batch_size {
@@ -266,6 +278,23 @@ where
     let mut mb = MinibatchTrainer::new(model.num_params(), options.clone());
     for t in tuples {
         mb.feed(model, opt, t);
+    }
+    mb.finish(model, opt)
+}
+
+/// [`train_minibatch`] over borrowed batch rows (each row is copied into
+/// one reused scratch vector for the model's per-example methods).
+pub fn train_minibatch_rows(
+    model: &mut dyn Model,
+    opt: &mut dyn Optimizer,
+    rows: RowSlice<'_>,
+    options: &TrainOptions,
+) -> EpochStats {
+    let mut mb = MinibatchTrainer::new(model.num_params(), options.clone());
+    let mut x = FeatureVec::Dense(Vec::new());
+    for r in rows {
+        r.features.copy_into(&mut x);
+        mb.feed_example(model, opt, &x, r.label);
     }
     mb.finish(model, opt)
 }

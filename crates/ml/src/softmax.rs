@@ -2,7 +2,7 @@
 //! for multi-class datasets (mini8m) and the final layer of our MLPs.
 
 use crate::model::Model;
-use corgipile_storage::FeatureVec;
+use corgipile_storage::{FeatureRef, FeatureVec, RowSlice};
 
 /// Softmax regression over `k` classes.
 ///
@@ -33,24 +33,74 @@ impl SoftmaxRegression {
 
     /// Per-class scores `Wx + b`.
     pub fn logits(&self, x: &FeatureVec) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.classes);
+        self.logits_into(x.view(), &mut out);
+        out
+    }
+
+    fn logits_into(&self, x: FeatureRef<'_>, out: &mut Vec<f32>) {
         let (w, b) = self.params.split_at(self.classes * self.dim);
-        (0..self.classes)
-            .map(|c| x.dot(&w[c * self.dim..(c + 1) * self.dim]) + b[c])
-            .collect()
+        out.clear();
+        out.extend((0..self.classes).map(|c| x.dot(&w[c * self.dim..(c + 1) * self.dim]) + b[c]));
     }
 
     /// Softmax probabilities (numerically stabilized).
     pub fn probabilities(&self, x: &FeatureVec) -> Vec<f32> {
         softmax(&self.logits(x))
     }
+
+    /// Cross-entropy loss given the class probabilities `p`.
+    fn loss_at(p: &[f32], y: f32) -> f64 {
+        -(p[y as usize].max(1e-12) as f64).ln()
+    }
+
+    /// One SGD step given the pre-update class probabilities `p`.
+    fn step_at(&mut self, x: FeatureRef<'_>, p: &[f32], y: f32, lr: f32) {
+        let target = y as usize;
+        let dim = self.dim;
+        let (w, b) = self.params.split_at_mut(self.classes * dim);
+        for c in 0..self.classes {
+            let coeff = p[c] - if c == target { 1.0 } else { 0.0 };
+            if coeff != 0.0 {
+                x.axpy_into(-lr * coeff, &mut w[c * dim..(c + 1) * dim]);
+                b[c] -= lr * coeff;
+            }
+        }
+    }
+
+    /// Argmax over the logits (softmax is monotone, so serving skips it).
+    /// Ties keep the *last* maximum class, exactly like `predict_label`'s
+    /// `max_by`.
+    fn label_of(&self, x: FeatureRef<'_>) -> f32 {
+        let (w, b) = self.params.split_at(self.classes * self.dim);
+        let mut best = 0usize;
+        let mut best_score = f32::NEG_INFINITY;
+        for c in 0..self.classes {
+            let s = x.dot(&w[c * self.dim..(c + 1) * self.dim]) + b[c];
+            if s >= best_score {
+                best_score = s;
+                best = c;
+            }
+        }
+        best as f32
+    }
 }
 
 /// Numerically stable softmax.
 pub fn softmax(logits: &[f32]) -> Vec<f32> {
+    let mut out = Vec::with_capacity(logits.len());
+    softmax_into(logits, &mut Vec::new(), &mut out);
+    out
+}
+
+/// [`softmax`] into reused buffers (`exps` is scratch).
+pub(crate) fn softmax_into(logits: &[f32], exps: &mut Vec<f64>, out: &mut Vec<f32>) {
     let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f64> = logits.iter().map(|&l| ((l - max) as f64).exp()).collect();
+    exps.clear();
+    exps.extend(logits.iter().map(|&l| ((l - max) as f64).exp()));
     let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| (e / sum) as f32).collect()
+    out.clear();
+    out.extend(exps.iter().map(|e| (e / sum) as f32));
 }
 
 impl Model for SoftmaxRegression {
@@ -67,10 +117,8 @@ impl Model for SoftmaxRegression {
     }
 
     fn loss(&self, x: &FeatureVec, y: f32) -> f64 {
-        let p = self.probabilities(x);
-        let c = y as usize;
-        debug_assert!(c < self.classes, "label {y} out of range");
-        -(p[c].max(1e-12) as f64).ln()
+        debug_assert!((y as usize) < self.classes, "label {y} out of range");
+        Self::loss_at(&self.probabilities(x), y)
     }
 
     fn grad(&self, x: &FeatureVec, y: f32, grad: &mut [f32]) {
@@ -88,15 +136,17 @@ impl Model for SoftmaxRegression {
 
     fn sgd_step(&mut self, x: &FeatureVec, y: f32, lr: f32) {
         let p = self.probabilities(x);
-        let target = y as usize;
-        let dim = self.dim;
-        let (w, b) = self.params.split_at_mut(self.classes * dim);
-        for c in 0..self.classes {
-            let coeff = p[c] - if c == target { 1.0 } else { 0.0 };
-            if coeff != 0.0 {
-                x.axpy_into(-lr * coeff, &mut w[c * dim..(c + 1) * dim]);
-                b[c] -= lr * coeff;
-            }
+        self.step_at(x.view(), &p, y, lr);
+    }
+
+    fn sgd_rows(&mut self, rows: RowSlice<'_>, lr: f32, loss_sum: &mut f64) {
+        // One forward pass per row serves both the loss and the step.
+        let (mut logits, mut exps, mut p) = (Vec::new(), Vec::new(), Vec::new());
+        for r in rows {
+            self.logits_into(r.features, &mut logits);
+            softmax_into(&logits, &mut exps, &mut p);
+            *loss_sum += Self::loss_at(&p, r.label);
+            self.step_at(r.features, &p, r.label, lr);
         }
     }
 
@@ -110,24 +160,9 @@ impl Model for SoftmaxRegression {
             .unwrap_or(0.0)
     }
 
-    fn predict_batch_into(&self, xs: &[&FeatureVec], out: &mut Vec<f32>) {
-        // Argmax over logits only — the softmax normalization is monotone,
-        // so serving skips it. Ties keep the *last* maximum class, exactly
-        // like `predict_label`'s `max_by`.
-        let (w, b) = self.params.split_at(self.classes * self.dim);
-        out.reserve(xs.len());
-        for x in xs {
-            let mut best = 0usize;
-            let mut best_score = f32::NEG_INFINITY;
-            for c in 0..self.classes {
-                let s = x.dot(&w[c * self.dim..(c + 1) * self.dim]) + b[c];
-                if s >= best_score {
-                    best_score = s;
-                    best = c;
-                }
-            }
-            out.push(best as f32);
-        }
+    fn predict_rows(&self, rows: RowSlice<'_>, out: &mut Vec<f32>) {
+        out.reserve(rows.len());
+        out.extend(rows.iter().map(|r| self.label_of(r.features)));
     }
 
     fn flops_per_example(&self, nnz: usize) -> f64 {

@@ -7,9 +7,9 @@
 //! through the [`SimDevice`] (which itself models the OS page cache below)
 //! and admits the block with LRU eviction.
 
+use crate::batch::TupleBatch;
 use crate::block::BlockId;
 use crate::table::Table;
-use crate::tuple::Tuple;
 use crate::{Result, SimDevice};
 use corgipile_telemetry::{Counter, Telemetry};
 use std::collections::HashMap;
@@ -39,7 +39,7 @@ impl BufferPoolStats {
 }
 
 struct Frame {
-    tuples: Arc<Vec<Tuple>>,
+    tuples: Arc<TupleBatch>,
     bytes: usize,
     stamp: u64,
 }
@@ -110,7 +110,7 @@ impl BufferPool {
     /// via [`BufferPool::admit_block`]. Splitting the probe from the admit
     /// lets shared-pool callers release the pool lock during the device
     /// read.
-    pub fn lookup(&mut self, table_id: u32, block: BlockId) -> Option<Arc<Vec<Tuple>>> {
+    pub fn lookup(&mut self, table_id: u32, block: BlockId) -> Option<Arc<TupleBatch>> {
         self.stamp += 1;
         if let Some(frame) = self.frames.get_mut(&(table_id, block)) {
             frame.stamp = self.stamp;
@@ -131,44 +131,30 @@ impl BufferPool {
         &mut self,
         table_id: u32,
         block: BlockId,
-        tuples: Arc<Vec<Tuple>>,
+        tuples: Arc<TupleBatch>,
         bytes: usize,
     ) {
         self.admit((table_id, block), tuples, bytes);
     }
 
-    /// Fetch a block through the pool: hit → shared handle at zero device
-    /// cost; miss → random block read through `dev`, then admit.
-    pub fn read_block(
-        &mut self,
-        table: &Table,
-        block: BlockId,
-        dev: &mut SimDevice,
-    ) -> Result<Arc<Vec<Tuple>>> {
-        let table_id = table.config().table_id;
-        if let Some(tuples) = self.lookup(table_id, block) {
-            return Ok(tuples);
-        }
-        let tuples = Arc::new(table.read_block(block, dev)?);
-        let bytes = table.block(block)?.bytes;
-        self.admit_block(table_id, block, tuples.clone(), bytes);
-        Ok(tuples)
-    }
-
-    /// [`BufferPool::read_block`] with bounded retries on the storage read
-    /// (see [`Table::read_block_retry`]). Pool hits never fail.
+    /// Fetch a block through the pool: hit → shared decoded block at zero
+    /// device cost; miss → random block read through `dev` with bounded
+    /// retries (see [`Table::read_block_retry`]), decoded once, then
+    /// admitted. Pool hits never fail.
     pub fn read_block_retry(
         &mut self,
         table: &Table,
         block: BlockId,
         dev: &mut SimDevice,
         policy: &crate::retry::RetryPolicy,
-    ) -> Result<Arc<Vec<Tuple>>> {
+    ) -> Result<Arc<TupleBatch>> {
         let table_id = table.config().table_id;
         if let Some(tuples) = self.lookup(table_id, block) {
             return Ok(tuples);
         }
-        let tuples = Arc::new(table.read_block_retry(block, dev, policy)?);
+        let mut decoded = TupleBatch::new();
+        table.read_block_retry_into(block, dev, policy, &mut decoded)?;
+        let tuples = Arc::new(decoded);
         let bytes = table.block(block)?.bytes;
         self.admit_block(table_id, block, tuples.clone(), bytes);
         Ok(tuples)
@@ -180,7 +166,7 @@ impl BufferPool {
         self.used_bytes = 0;
     }
 
-    fn admit(&mut self, key: (u32, BlockId), tuples: Arc<Vec<Tuple>>, bytes: usize) {
+    fn admit(&mut self, key: (u32, BlockId), tuples: Arc<TupleBatch>, bytes: usize) {
         if bytes > self.capacity_bytes {
             return; // oversized block: serve uncached
         }
@@ -219,8 +205,19 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::retry::RetryPolicy;
     use crate::table::TableConfig;
     use crate::tuple::Tuple;
+
+    fn read(
+        pool: &mut BufferPool,
+        t: &Table,
+        block: BlockId,
+        dev: &mut SimDevice,
+    ) -> Arc<TupleBatch> {
+        pool.read_block_retry(t, block, dev, &RetryPolicy::default())
+            .unwrap()
+    }
 
     fn table(id: u32, n: u64) -> Table {
         let cfg = TableConfig::new(format!("t{id}"), id).with_block_bytes(8192);
@@ -232,9 +229,9 @@ mod tests {
         let t = table(1, 400);
         let mut pool = BufferPool::new(1 << 20);
         let mut dev = SimDevice::hdd(0);
-        let a = pool.read_block(&t, 0, &mut dev).unwrap();
+        let a = read(&mut pool, &t, 0, &mut dev);
         let io_after_miss = dev.stats().io_seconds;
-        let b = pool.read_block(&t, 0, &mut dev).unwrap();
+        let b = read(&mut pool, &t, 0, &mut dev);
         assert_eq!(dev.stats().io_seconds, io_after_miss, "hit must be free");
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(
@@ -253,10 +250,10 @@ mod tests {
         let t = table(1, 400); // several 8KB blocks
         let mut pool = BufferPool::new(2 * 8192 + 100);
         let mut dev = SimDevice::hdd(0);
-        pool.read_block(&t, 0, &mut dev).unwrap();
-        pool.read_block(&t, 1, &mut dev).unwrap();
-        pool.read_block(&t, 0, &mut dev).unwrap(); // touch 0
-        pool.read_block(&t, 2, &mut dev).unwrap(); // evicts 1
+        read(&mut pool, &t, 0, &mut dev);
+        read(&mut pool, &t, 1, &mut dev);
+        read(&mut pool, &t, 0, &mut dev); // touch 0
+        read(&mut pool, &t, 2, &mut dev); // evicts 1
         assert!(pool.contains(1, 0));
         assert!(!pool.contains(1, 1));
         assert!(pool.contains(1, 2));
@@ -270,10 +267,10 @@ mod tests {
         let t2 = table(2, 100);
         let mut pool = BufferPool::new(1 << 20);
         let mut dev = SimDevice::hdd(0);
-        pool.read_block(&t1, 0, &mut dev).unwrap();
+        read(&mut pool, &t1, 0, &mut dev);
         assert!(pool.contains(1, 0));
         assert!(!pool.contains(2, 0));
-        pool.read_block(&t2, 0, &mut dev).unwrap();
+        read(&mut pool, &t2, 0, &mut dev);
         assert_eq!(pool.stats().misses, 2);
     }
 
@@ -282,7 +279,7 @@ mod tests {
         let t = table(1, 100);
         let mut pool = BufferPool::new(10); // smaller than any block
         let mut dev = SimDevice::hdd(0);
-        pool.read_block(&t, 0, &mut dev).unwrap();
+        read(&mut pool, &t, 0, &mut dev);
         assert!(!pool.contains(1, 0));
         assert_eq!(pool.used(), 0);
     }
@@ -294,10 +291,10 @@ mod tests {
         let mut pool = BufferPool::new(2 * 8192 + 100);
         pool.set_telemetry(&tel);
         let mut dev = SimDevice::hdd(0);
-        pool.read_block(&t, 0, &mut dev).unwrap();
-        pool.read_block(&t, 0, &mut dev).unwrap();
-        pool.read_block(&t, 1, &mut dev).unwrap();
-        pool.read_block(&t, 2, &mut dev).unwrap(); // evicts
+        read(&mut pool, &t, 0, &mut dev);
+        read(&mut pool, &t, 0, &mut dev);
+        read(&mut pool, &t, 1, &mut dev);
+        read(&mut pool, &t, 2, &mut dev); // evicts
         assert_eq!(tel.counter("storage.pool.hits").get(), pool.stats().hits);
         assert_eq!(
             tel.counter("storage.pool.misses").get(),
@@ -315,7 +312,7 @@ mod tests {
         let t = table(1, 100);
         let mut pool = BufferPool::new(1 << 20);
         let mut dev = SimDevice::hdd(0);
-        pool.read_block(&t, 0, &mut dev).unwrap();
+        read(&mut pool, &t, 0, &mut dev);
         pool.clear();
         assert!(!pool.contains(1, 0));
         assert_eq!(pool.stats().misses, 1);

@@ -10,6 +10,8 @@
 //!
 //! * [`mod@tuple`] — the training-tuple format (`⟨id, features, label⟩`, dense or
 //!   sparse), with a compact binary encoding;
+//! * [`batch`] — columnar [`TupleBatch`]es (id/label columns plus a
+//!   feature arena), the unit the executor decodes into and moves;
 //! * [`page`] — fixed-size slotted pages, PostgreSQL-style;
 //! * [`block`] — block metadata (a block is a batch of contiguous pages, the
 //!   granularity of CorgiPile's block-level shuffle);
@@ -46,6 +48,7 @@
 //! the device cost model, so experiments reproduce bit-for-bit across runs.
 
 pub mod append;
+pub mod batch;
 pub mod block;
 pub mod buffer;
 pub mod bufmgr;
@@ -64,6 +67,7 @@ pub mod tuple;
 pub mod wal;
 
 pub use append::{AppendableTable, TableSnapshot, RT_TABLE_ROWS, RT_TABLE_SEAL};
+pub use batch::{batch_grow_count, RowIter, RowSlice, TupleBatch};
 pub use block::{BlockId, BlockMeta};
 pub use buffer::{DoubleBufferModel, TupleBuffer, INITIAL_RESERVATION_CAP};
 pub use bufmgr::{BufferPool, BufferPoolStats};
@@ -82,15 +86,15 @@ pub use persist::{
     FileBlockMeta, FileTable,
 };
 pub use pipeline::{
-    batch_grow_count, block_refs, run_epoch_pipeline, PipelineError, PipelineReport,
-    PipelineSender, TupleBatch, TupleRef, PIPELINE_SLOTS,
+    block_refs, run_epoch_pipeline, PipelineError, PipelineReport, PipelineSender, TupleRef,
+    PIPELINE_SLOTS,
 };
 pub use retry::RetryPolicy;
 pub use shared::{DeviceHandle, PoolHandle, SharedBufferPool, SharedDevice};
 pub use table::{Table, TableBuilder, TableConfig};
 pub use tuple::{
-    dense_axpy, dense_axpy_scalar, dense_dot, dense_dot_scalar, tuple_clone_count, FeatureVec,
-    Tuple, TupleId, DENSE_LANES,
+    dense_axpy, dense_axpy_scalar, dense_dot, dense_dot_scalar, tuple_clone_count, FeatureRef,
+    FeatureVec, RowRef, Tuple, TupleId, DENSE_LANES,
 };
 pub use wal::{scan_valid_prefix, Wal, WalRecord, WAL_MAGIC, WAL_MAX_PAYLOAD};
 

@@ -8,6 +8,7 @@
 //! tuple size; the table layer accounts for the extra decompression cost
 //! when TOAST emulation is enabled.
 
+use crate::batch::TupleBatch;
 use crate::error::StorageError;
 use crate::tuple::Tuple;
 use crate::Result;
@@ -101,6 +102,15 @@ impl Page {
             .ok_or_else(|| StorageError::Corrupt(format!("slot {slot} out of range")))?
             as usize;
         Tuple::decode(&self.data[off..]).map(|(t, _)| t)
+    }
+
+    /// Decode every tuple on the page, in slot order, straight into `out`'s
+    /// columns and feature arena.
+    pub fn decode_into(&self, out: &mut TupleBatch) -> Result<()> {
+        for &off in &self.slots {
+            out.push_encoded(&self.data[off as usize..])?;
+        }
+        Ok(())
     }
 
     /// Iterate all tuples on the page in slot order.

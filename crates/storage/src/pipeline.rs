@@ -54,10 +54,9 @@ pub const PIPELINE_SLOTS: usize = 1;
 
 /// A shared, immutable reference to one tuple of an `Arc`-backed block.
 ///
-/// The zero-copy fill path shuffles *references* instead of cloning
-/// [`Tuple`]s: a block is decoded (or fetched from the buffer pool) once
-/// into an `Arc<Vec<Tuple>>`, and the in-buffer Fisher–Yates permutes
-/// `TupleRef`s, each two words plus an `Arc` bump.
+/// The executor moves columnar [`TupleBatch`](crate::TupleBatch)es, not
+/// `TupleRef`s; this type stays for the `Model::sgd_batch` entry point
+/// that callers outside the engine still use.
 #[derive(Debug, Clone)]
 pub struct TupleRef {
     block: Arc<Vec<Tuple>>,
@@ -93,112 +92,6 @@ pub fn block_refs(block: &Arc<Vec<Tuple>>) -> impl Iterator<Item = TupleRef> + '
     (0..block.len()).map(|i| TupleRef::new(Arc::clone(block), i))
 }
 
-thread_local! {
-    static BATCH_GROWS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Thread-local count of [`TupleBatch`] backing-store reallocations.
-///
-/// A steady-state batch executor clears and refills the same batches every
-/// epoch; once warm, this counter must stop moving. Tests snapshot it
-/// before and after an epoch to assert zero steady-state allocations.
-pub fn batch_grow_count() -> u64 {
-    BATCH_GROWS.with(|c| c.get())
-}
-
-fn note_batch_grow() {
-    BATCH_GROWS.with(|c| c.set(c.get() + 1));
-}
-
-/// A reusable, capacity-preserving batch of zero-copy [`TupleRef`]s.
-///
-/// The batch-at-a-time executor hands one `TupleBatch` down the operator
-/// tree per pull; each operator `clear()`s and refills it. `clear` keeps
-/// the backing allocation, so after the first epoch warms the capacity no
-/// further allocations happen ([`batch_grow_count`] stops moving).
-#[derive(Debug, Default)]
-pub struct TupleBatch {
-    refs: Vec<TupleRef>,
-}
-
-impl TupleBatch {
-    /// An empty batch with no backing store yet.
-    pub fn new() -> Self {
-        TupleBatch::default()
-    }
-
-    /// An empty batch pre-sized for `cap` refs.
-    pub fn with_capacity(cap: usize) -> Self {
-        TupleBatch {
-            refs: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Drop all refs but keep the backing allocation.
-    pub fn clear(&mut self) {
-        self.refs.clear();
-    }
-
-    /// Append one ref, counting a grow if the backing store reallocates.
-    pub fn push(&mut self, r: TupleRef) {
-        if self.refs.len() == self.refs.capacity() {
-            note_batch_grow();
-        }
-        self.refs.push(r);
-    }
-
-    /// Append `Arc`-bump clones of `src` (no `Tuple` clones).
-    pub fn extend_from_slice(&mut self, src: &[TupleRef]) {
-        if self.refs.len() + src.len() > self.refs.capacity() {
-            note_batch_grow();
-        }
-        self.refs.extend_from_slice(src);
-    }
-
-    /// Number of refs currently in the batch.
-    pub fn len(&self) -> usize {
-        self.refs.len()
-    }
-
-    /// Whether the batch holds no refs.
-    pub fn is_empty(&self) -> bool {
-        self.refs.is_empty()
-    }
-
-    /// Capacity of the backing store.
-    pub fn capacity(&self) -> usize {
-        self.refs.capacity()
-    }
-
-    /// Iterate the refs in order.
-    pub fn iter(&self) -> std::slice::Iter<'_, TupleRef> {
-        self.refs.iter()
-    }
-
-    /// Surrender the backing `Vec` (for cross-thread handover), leaving the
-    /// batch empty with no capacity.
-    pub fn take_refs(&mut self) -> Vec<TupleRef> {
-        std::mem::take(&mut self.refs)
-    }
-}
-
-impl Deref for TupleBatch {
-    type Target = [TupleRef];
-
-    fn deref(&self) -> &[TupleRef] {
-        &self.refs
-    }
-}
-
-impl<'a> IntoIterator for &'a TupleBatch {
-    type Item = &'a TupleRef;
-    type IntoIter = std::slice::Iter<'a, TupleRef>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.refs.iter()
-    }
-}
-
 /// Error surfaced on the consumer side of [`run_epoch_pipeline`].
 #[derive(Debug)]
 pub enum PipelineError<E> {
@@ -228,7 +121,7 @@ pub struct PipelineReport {
     pub fills: u64,
     /// Batches the consumer actually received (lower if it stopped early).
     pub batches_consumed: u64,
-    /// `Tuple::clone` calls made on the producer thread — the zero-copy
+    /// `Tuple::clone` calls made on the producer thread — the columnar
     /// fill paths keep this at exactly 0.
     pub producer_tuple_clones: u64,
     /// Wall seconds the consumer spent waiting for the producer.
@@ -543,39 +436,6 @@ mod tests {
         .unwrap();
         assert_eq!(drained, 100);
         assert_eq!(report.producer_tuple_clones, 0);
-    }
-
-    #[test]
-    fn tuple_batch_clear_keeps_capacity_and_counts_grows() {
-        let block: Arc<Vec<Tuple>> = Arc::new(
-            (0..32)
-                .map(|i| Tuple::dense(i, vec![i as f32], 1.0))
-                .collect(),
-        );
-        let mut batch = TupleBatch::new();
-        let before = batch_grow_count();
-        for r in block_refs(&block) {
-            batch.push(r);
-        }
-        assert!(batch_grow_count() > before, "cold fills must grow");
-        assert_eq!(batch.len(), 32);
-        let cap = batch.capacity();
-        batch.clear();
-        assert!(batch.is_empty());
-        assert_eq!(batch.capacity(), cap, "clear must keep the allocation");
-        // Warm refill: same size, zero grows.
-        let warm = batch_grow_count();
-        for r in block_refs(&block) {
-            batch.push(r);
-        }
-        assert_eq!(batch_grow_count(), warm, "warm refill must not allocate");
-        // Zero-copy: refilling never clones tuples.
-        let clones = tuple_clone_count();
-        let mut other = TupleBatch::with_capacity(32);
-        other.extend_from_slice(&batch);
-        assert_eq!(tuple_clone_count(), clones);
-        assert_eq!(other.len(), 32);
-        assert_eq!(other[5].id, 5);
     }
 
     #[test]

@@ -26,12 +26,12 @@
 //! residency, so sessions sharing one device produce models bit-identical
 //! to their serial counterparts — only the I/O clocks observe the sharing.
 
+use crate::batch::TupleBatch;
 use crate::bufmgr::{BufferPool, BufferPoolStats};
 use crate::device::{DeviceProfile, IoStats, SimDevice};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::retry::RetryPolicy;
 use crate::table::Table;
-use crate::tuple::Tuple;
 use crate::Result;
 use corgipile_telemetry::Telemetry;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -259,14 +259,16 @@ impl PoolHandle {
         block: crate::block::BlockId,
         dev: &mut DeviceHandle,
         policy: &RetryPolicy,
-    ) -> Result<Arc<Vec<Tuple>>> {
+    ) -> Result<Arc<TupleBatch>> {
         let table_id = table.config().table_id;
         if let Some(tuples) = lock(&self.inner).lookup(table_id, block) {
             self.local.hits += 1;
             return Ok(tuples);
         }
         self.local.misses += 1;
-        let tuples = Arc::new(dev.with(|d| table.read_block_retry(block, d, policy))?);
+        let mut decoded = TupleBatch::new();
+        dev.with(|d| table.read_block_retry_into(block, d, policy, &mut decoded))?;
+        let tuples = Arc::new(decoded);
         let bytes = table.block(block)?.bytes;
         lock(&self.inner).admit_block(table_id, block, tuples.clone(), bytes);
         Ok(tuples)
@@ -301,6 +303,7 @@ mod tests {
     use super::*;
     use crate::device::Access;
     use crate::table::TableConfig;
+    use crate::tuple::Tuple;
 
     fn table(id: u32, n: u64) -> Table {
         let cfg = TableConfig::new(format!("t{id}"), id).with_block_bytes(8192);

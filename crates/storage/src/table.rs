@@ -13,6 +13,7 @@
 //!   modeled as a two-pass external sort (read + write, twice) plus 2×
 //!   storage, matching the paper's observations (§3.1, Table 1).
 
+use crate::batch::TupleBatch;
 use crate::block::{plan_blocks, BlockId, BlockMeta};
 use crate::device::{Access, SimDevice};
 use crate::error::StorageError;
@@ -270,19 +271,48 @@ impl Table {
         Ok(out)
     }
 
-    /// Read a block with random access: one seek + transfer of the block's
-    /// bytes. This is CorgiPile's I/O primitive. Goes through the device's
-    /// fault injector (if any) and can therefore fail with a retryable
-    /// error; see [`Table::read_block_retry`].
-    pub fn read_block(&self, id: BlockId, dev: &mut SimDevice) -> Result<Vec<Tuple>> {
+    /// Decode the tuples of a block into `out` (appending; no device
+    /// charge). The columnar counterpart of [`Table::block_tuples`].
+    pub fn decode_block_into(&self, id: BlockId, out: &mut TupleBatch) -> Result<()> {
+        let pages = self.block(id)?.pages.clone();
+        for p in &self.pages[pages] {
+            p.decode_into(out)?;
+        }
+        Ok(())
+    }
+
+    /// Charge one block read to `dev`: `Random` is one seek + transfer (the
+    /// CorgiPile primitive), `Sequential` streams at sequential bandwidth.
+    /// Goes through the device's fault injector, so it can fail with a
+    /// retryable error.
+    fn charge_block(&self, id: BlockId, access: Access, dev: &mut SimDevice) -> Result<()> {
         let meta = self.block(id)?;
         dev.read_guarded(
             self.config.table_id,
             id,
             meta.bytes,
-            Access::Random,
+            access,
             self.toast_cap(),
         )?;
+        Ok(())
+    }
+
+    /// Access of the `first`-or-not block of an in-order sequential scan:
+    /// the first block pays a seek, later ones stream.
+    fn scan_access(first: bool) -> Access {
+        if first {
+            Access::Random
+        } else {
+            Access::Sequential
+        }
+    }
+
+    /// Read a block with random access: one seek + transfer of the block's
+    /// bytes. This is CorgiPile's I/O primitive. Goes through the device's
+    /// fault injector (if any) and can therefore fail with a retryable
+    /// error; see [`Table::read_block_retry`].
+    pub fn read_block(&self, id: BlockId, dev: &mut SimDevice) -> Result<Vec<Tuple>> {
+        self.charge_block(id, Access::Random, dev)?;
         self.block_tuples(id)
     }
 
@@ -295,19 +325,7 @@ impl Table {
         first: bool,
         dev: &mut SimDevice,
     ) -> Result<Vec<Tuple>> {
-        let meta = self.block(id)?;
-        let access = if first {
-            Access::Random
-        } else {
-            Access::Sequential
-        };
-        dev.read_guarded(
-            self.config.table_id,
-            id,
-            meta.bytes,
-            access,
-            self.toast_cap(),
-        )?;
+        self.charge_block(id, Self::scan_access(first), dev)?;
         self.block_tuples(id)
     }
 
@@ -323,7 +341,10 @@ impl Table {
         dev: &mut SimDevice,
         policy: &RetryPolicy,
     ) -> Result<Vec<Tuple>> {
-        retry_block_read(id, dev, policy, |dev| self.read_block(id, dev))
+        retry_block_read(id, dev, policy, |dev| {
+            self.charge_block(id, Access::Random, dev)
+        })?;
+        self.block_tuples(id)
     }
 
     /// [`Table::scan_block_sequential`] with bounded retries (see
@@ -335,9 +356,39 @@ impl Table {
         dev: &mut SimDevice,
         policy: &RetryPolicy,
     ) -> Result<Vec<Tuple>> {
+        let access = Self::scan_access(first);
+        retry_block_read(id, dev, policy, |dev| self.charge_block(id, access, dev))?;
+        self.block_tuples(id)
+    }
+
+    /// [`Table::read_block_retry`], decoding into `out` (appending) instead
+    /// of allocating one object per tuple.
+    pub fn read_block_retry_into(
+        &self,
+        id: BlockId,
+        dev: &mut SimDevice,
+        policy: &RetryPolicy,
+        out: &mut TupleBatch,
+    ) -> Result<()> {
         retry_block_read(id, dev, policy, |dev| {
-            self.scan_block_sequential(id, first, dev)
-        })
+            self.charge_block(id, Access::Random, dev)
+        })?;
+        self.decode_block_into(id, out)
+    }
+
+    /// [`Table::scan_block_sequential_retry`], decoding into `out`
+    /// (appending).
+    pub fn scan_block_sequential_retry_into(
+        &self,
+        id: BlockId,
+        first: bool,
+        dev: &mut SimDevice,
+        policy: &RetryPolicy,
+        out: &mut TupleBatch,
+    ) -> Result<()> {
+        let access = Self::scan_access(first);
+        retry_block_read(id, dev, policy, |dev| self.charge_block(id, access, dev))?;
+        self.decode_block_into(id, out)
     }
 
     /// Full sequential scan of the table, charging the device.
@@ -481,14 +532,14 @@ fn retry_block_read<F>(
     dev: &mut SimDevice,
     policy: &RetryPolicy,
     mut read: F,
-) -> Result<Vec<Tuple>>
+) -> Result<()>
 where
-    F: FnMut(&mut SimDevice) -> Result<Vec<Tuple>>,
+    F: FnMut(&mut SimDevice) -> Result<()>,
 {
     let mut attempt = 0u32;
     loop {
         match read(dev) {
-            Ok(tuples) => return Ok(tuples),
+            Ok(()) => return Ok(()),
             Err(e) if e.is_retryable() && attempt < policy.max_retries => {
                 dev.charge_seconds(policy.backoff(attempt));
                 dev.note_retry();

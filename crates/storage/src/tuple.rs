@@ -22,9 +22,9 @@ thread_local! {
 
 /// Number of `Tuple::clone` calls made *by the current thread* so far.
 ///
-/// The steady-state fill path of the pipelined executor is required to be
-/// zero-copy: blocks are decoded once and handed around behind `Arc`s, so
-/// filling and draining a buffer must not clone tuples at all. Tests (and
+/// The fill path of the pipelined executor builds no per-tuple objects:
+/// blocks are decoded once into columnar batches, so filling and draining
+/// a buffer must not clone tuples at all. Tests (and
 /// the [`crate::pipeline`] producer) enforce that by diffing this counter
 /// around the code under test. The counter is thread-local so concurrent
 /// tests cannot perturb each other's measurements.
@@ -156,47 +156,37 @@ impl FeatureVec {
         }
     }
 
+    /// Borrowed view of the vector, the layout every kernel runs on.
+    pub fn view(&self) -> FeatureRef<'_> {
+        match self {
+            FeatureVec::Dense(v) => FeatureRef::Dense(v),
+            FeatureVec::Sparse {
+                dim,
+                indices,
+                values,
+            } => FeatureRef::Sparse {
+                dim: *dim,
+                indices,
+                values,
+            },
+        }
+    }
+
     /// Value of feature `i` (zero for absent sparse entries).
     pub fn get(&self, i: usize) -> f32 {
-        match self {
-            FeatureVec::Dense(v) => v.get(i).copied().unwrap_or(0.0),
-            FeatureVec::Sparse {
-                indices, values, ..
-            } => indices
-                .binary_search(&(i as u32))
-                .map(|pos| values[pos])
-                .unwrap_or(0.0),
-        }
+        self.view().get(i)
     }
 
     /// Dot product with a dense weight slice.
     ///
     /// The weight slice must be at least as long as the vector's dimension.
     pub fn dot(&self, w: &[f32]) -> f32 {
-        match self {
-            FeatureVec::Dense(v) => dense_dot(v, w),
-            FeatureVec::Sparse {
-                indices, values, ..
-            } => indices
-                .iter()
-                .zip(values)
-                .map(|(&i, &v)| v * w[i as usize])
-                .sum(),
-        }
+        self.view().dot(w)
     }
 
     /// `w += scale * self`, the sparse-aware axpy used by gradient updates.
     pub fn axpy_into(&self, scale: f32, w: &mut [f32]) {
-        match self {
-            FeatureVec::Dense(v) => dense_axpy(scale, v, w),
-            FeatureVec::Sparse {
-                indices, values, ..
-            } => {
-                for (&i, &v) in indices.iter().zip(values) {
-                    w[i as usize] += scale * v;
-                }
-            }
-        }
+        self.view().axpy_into(scale, w)
     }
 
     /// Squared Euclidean norm.
@@ -218,10 +208,168 @@ impl FeatureVec {
     }
 }
 
+/// A borrowed feature vector: a view of a [`FeatureVec`] or one row of a
+/// columnar [`TupleBatch`](crate::TupleBatch).
+///
+/// The dot and axpy kernels live here, so an owned vector and a batch row
+/// run the same code and produce the same bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FeatureRef<'a> {
+    /// Dense layout: `values[i]` is the value of feature `i`.
+    Dense(&'a [f32]),
+    /// Sparse layout (see [`FeatureVec::Sparse`]).
+    Sparse {
+        /// Logical dimensionality of the vector.
+        dim: u32,
+        /// Indices of the non-zero features, strictly increasing.
+        indices: &'a [u32],
+        /// Values of the non-zero features (same length as `indices`).
+        values: &'a [f32],
+    },
+}
+
+impl FeatureRef<'_> {
+    /// Logical dimensionality of the vector.
+    pub fn dim(&self) -> usize {
+        match self {
+            FeatureRef::Dense(v) => v.len(),
+            FeatureRef::Sparse { dim, .. } => *dim as usize,
+        }
+    }
+
+    /// Number of materialized (stored) components.
+    pub fn nnz(&self) -> usize {
+        match self {
+            FeatureRef::Dense(v) => v.len(),
+            FeatureRef::Sparse { values, .. } => values.len(),
+        }
+    }
+
+    /// Value of feature `i` (zero for absent sparse entries).
+    pub fn get(&self, i: usize) -> f32 {
+        match self {
+            FeatureRef::Dense(v) => v.get(i).copied().unwrap_or(0.0),
+            FeatureRef::Sparse {
+                indices, values, ..
+            } => indices
+                .binary_search(&(i as u32))
+                .map(|pos| values[pos])
+                .unwrap_or(0.0),
+        }
+    }
+
+    /// Dot product with a dense weight slice (at least `dim` long).
+    #[inline]
+    pub fn dot(&self, w: &[f32]) -> f32 {
+        match self {
+            FeatureRef::Dense(v) => dense_dot(v, w),
+            FeatureRef::Sparse {
+                indices, values, ..
+            } => indices
+                .iter()
+                .zip(values.iter())
+                .map(|(&i, &v)| v * w[i as usize])
+                .sum(),
+        }
+    }
+
+    /// `w += scale * self`, touching only the stored components.
+    #[inline]
+    pub fn axpy_into(&self, scale: f32, w: &mut [f32]) {
+        match self {
+            FeatureRef::Dense(v) => dense_axpy(scale, v, w),
+            FeatureRef::Sparse {
+                indices, values, ..
+            } => {
+                for (&i, &v) in indices.iter().zip(values.iter()) {
+                    w[i as usize] += scale * v;
+                }
+            }
+        }
+    }
+
+    /// Overwrite `dst` with a copy of this vector, reusing its buffers.
+    pub fn copy_into(&self, dst: &mut FeatureVec) {
+        match (self, dst) {
+            (FeatureRef::Dense(src), FeatureVec::Dense(v)) => {
+                v.clear();
+                v.extend_from_slice(src);
+            }
+            (
+                FeatureRef::Sparse {
+                    dim,
+                    indices,
+                    values,
+                },
+                FeatureVec::Sparse {
+                    dim: d,
+                    indices: i,
+                    values: v,
+                },
+            ) => {
+                *d = *dim;
+                i.clear();
+                i.extend_from_slice(indices);
+                v.clear();
+                v.extend_from_slice(values);
+            }
+            (src, dst) => *dst = src.to_owned_vec(),
+        }
+    }
+
+    /// An owned copy.
+    pub fn to_owned_vec(&self) -> FeatureVec {
+        match self {
+            FeatureRef::Dense(v) => FeatureVec::Dense(v.to_vec()),
+            FeatureRef::Sparse {
+                dim,
+                indices,
+                values,
+            } => FeatureVec::Sparse {
+                dim: *dim,
+                indices: indices.to_vec(),
+                values: values.to_vec(),
+            },
+        }
+    }
+}
+
+/// A borrowed training example: one row of a [`TupleBatch`](crate::TupleBatch)
+/// or a view of a [`Tuple`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RowRef<'a> {
+    /// Tuple id (see [`Tuple::id`]).
+    pub id: TupleId,
+    /// Label (see [`Tuple::label`]).
+    pub label: f32,
+    /// Borrowed features.
+    pub features: FeatureRef<'a>,
+}
+
+impl RowRef<'_> {
+    /// Size in bytes of the row's on-page encoding (= [`Tuple::encoded_len`]).
+    pub fn encoded_len(&self) -> usize {
+        let per_value = match self.features {
+            FeatureRef::Dense(_) => 4,
+            FeatureRef::Sparse { .. } => 8,
+        };
+        TUPLE_HEADER_BYTES + per_value * self.features.nnz()
+    }
+
+    /// An owned copy of the row.
+    pub fn to_tuple(&self) -> Tuple {
+        Tuple {
+            id: self.id,
+            features: self.features.to_owned_vec(),
+            label: self.label,
+        }
+    }
+}
+
 /// One training example as stored in a heap table.
 ///
 /// `Clone` is implemented by hand so every clone bumps the thread-local
-/// counter behind [`tuple_clone_count`] — the zero-copy guarantee of the
+/// counter behind [`tuple_clone_count`] — the no-clone guarantee of the
 /// pipelined fill path is asserted against it.
 #[derive(Debug, PartialEq)]
 pub struct Tuple {
@@ -247,8 +395,10 @@ impl Clone for Tuple {
 }
 
 /// Encoding tags for the on-page representation.
-const TAG_DENSE: u8 = 0;
-const TAG_SPARSE: u8 = 1;
+pub(crate) const TAG_DENSE: u8 = 0;
+pub(crate) const TAG_SPARSE: u8 = 1;
+/// Encoded header: id(8) + label(4) + tag(1) + dim(4) + nnz(4).
+pub(crate) const TUPLE_HEADER_BYTES: usize = 8 + 4 + 1 + 4 + 4;
 
 impl Tuple {
     /// Create a dense tuple.
@@ -269,16 +419,18 @@ impl Tuple {
         }
     }
 
+    /// Borrowed view of the tuple.
+    pub fn row(&self) -> RowRef<'_> {
+        RowRef {
+            id: self.id,
+            label: self.label,
+            features: self.features.view(),
+        }
+    }
+
     /// Size in bytes of the binary encoding produced by [`Tuple::encode`].
     pub fn encoded_len(&self) -> usize {
-        // id(8) + label(4) + tag(1) + dim(4) + nnz(4)
-        let header = 8 + 4 + 1 + 4 + 4;
-        match &self.features {
-            FeatureVec::Dense(v) => header + 4 * v.len(),
-            FeatureVec::Sparse {
-                indices, values, ..
-            } => header + 4 * indices.len() + 4 * values.len(),
-        }
+        self.row().encoded_len()
     }
 
     /// Append the binary encoding of the tuple to `out`.
@@ -315,6 +467,47 @@ impl Tuple {
     /// Decode one tuple from the front of `buf`, returning it and the number
     /// of bytes consumed.
     pub fn decode(buf: &[u8]) -> Result<(Tuple, usize)> {
+        let enc = Encoded::parse(buf)?;
+        let values: Vec<f32> = le_f32s(enc.values).collect();
+        let features = if enc.sparse {
+            FeatureVec::Sparse {
+                dim: enc.dim,
+                indices: le_u32s(enc.indices).collect(),
+                values,
+            }
+        } else {
+            FeatureVec::Dense(values)
+        };
+        Ok((
+            Tuple {
+                id: enc.id,
+                features,
+                label: enc.label,
+            },
+            enc.len,
+        ))
+    }
+}
+
+/// One on-page tuple encoding, bounds-checked but not yet decoded: the
+/// feature payloads are still little-endian byte runs. Both
+/// [`Tuple::decode`] and the columnar batch decode go through this parser.
+pub(crate) struct Encoded<'a> {
+    pub(crate) id: TupleId,
+    pub(crate) label: f32,
+    pub(crate) dim: u32,
+    pub(crate) sparse: bool,
+    /// `4 * nnz` bytes of `u32` indices (empty for dense rows).
+    pub(crate) indices: &'a [u8],
+    /// `4 * nnz` bytes of `f32` values.
+    pub(crate) values: &'a [u8],
+    /// Bytes the encoding occupies.
+    pub(crate) len: usize,
+}
+
+impl<'a> Encoded<'a> {
+    /// Parse the encoding at the front of `buf`.
+    pub(crate) fn parse(buf: &'a [u8]) -> Result<Encoded<'a>> {
         let need = |n: usize| -> Result<()> {
             if buf.len() < n {
                 Err(StorageError::Corrupt(format!(
@@ -325,60 +518,49 @@ impl Tuple {
                 Ok(())
             }
         };
-        need(8 + 4 + 1 + 4 + 4)?;
+        need(TUPLE_HEADER_BYTES)?;
         let id = u64::from_le_bytes(buf[0..8].try_into().unwrap());
         let label = f32::from_le_bytes(buf[8..12].try_into().unwrap());
         let tag = buf[12];
         let dim = u32::from_le_bytes(buf[13..17].try_into().unwrap());
         let nnz = u32::from_le_bytes(buf[17..21].try_into().unwrap()) as usize;
-        let mut off = 21;
-        match tag {
-            TAG_DENSE => {
-                need(off + 4 * nnz)?;
-                let mut v = Vec::with_capacity(nnz);
-                for _ in 0..nnz {
-                    v.push(f32::from_le_bytes(buf[off..off + 4].try_into().unwrap()));
-                    off += 4;
-                }
-                Ok((
-                    Tuple {
-                        id,
-                        features: FeatureVec::Dense(v),
-                        label,
-                    },
-                    off,
-                ))
+        let off = TUPLE_HEADER_BYTES;
+        let sparse = match tag {
+            TAG_DENSE => false,
+            TAG_SPARSE => true,
+            other => {
+                return Err(StorageError::Corrupt(format!(
+                    "unknown feature tag {other}"
+                )))
             }
-            TAG_SPARSE => {
-                need(off + 8 * nnz)?;
-                let mut indices = Vec::with_capacity(nnz);
-                for _ in 0..nnz {
-                    indices.push(u32::from_le_bytes(buf[off..off + 4].try_into().unwrap()));
-                    off += 4;
-                }
-                let mut values = Vec::with_capacity(nnz);
-                for _ in 0..nnz {
-                    values.push(f32::from_le_bytes(buf[off..off + 4].try_into().unwrap()));
-                    off += 4;
-                }
-                Ok((
-                    Tuple {
-                        id,
-                        features: FeatureVec::Sparse {
-                            dim,
-                            indices,
-                            values,
-                        },
-                        label,
-                    },
-                    off,
-                ))
-            }
-            other => Err(StorageError::Corrupt(format!(
-                "unknown feature tag {other}"
-            ))),
-        }
+        };
+        let index_bytes = if sparse { 4 * nnz } else { 0 };
+        let len = off + index_bytes + 4 * nnz;
+        need(len)?;
+        Ok(Encoded {
+            id,
+            label,
+            dim,
+            sparse,
+            indices: &buf[off..off + index_bytes],
+            values: &buf[off + index_bytes..len],
+            len,
+        })
     }
+}
+
+/// Decode a run of little-endian `f32`s.
+pub(crate) fn le_f32s(bytes: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().expect("chunks_exact(4) yields 4 bytes")))
+}
+
+/// Decode a run of little-endian `u32`s.
+pub(crate) fn le_u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact(4) yields 4 bytes")))
 }
 
 #[cfg(test)]

@@ -12,6 +12,9 @@ cargo build --release
 banner "Test"
 cargo test -q
 
+banner "Test (whole workspace: every crate's unit, property and oracle tests)"
+cargo test --workspace -q
+
 banner "Format check"
 cargo fmt --check
 
@@ -27,30 +30,36 @@ cargo test --release --test concurrent_sessions
 banner "Crash matrix (kill at every WAL write site, recover, bit-identical)"
 cargo test --release --test crash_recovery
 
+# Smoke-scale bench artifacts go to target/bench-smoke, so the gate never
+# overwrites the committed full-scale BENCH_*.json files or results/.
+SMOKE=target/bench-smoke
+mkdir -p "$SMOKE"
+export CORGI_BENCH_ROOT="$SMOKE" CORGI_RESULTS_DIR="$SMOKE/results"
+
 banner "Pipeline bench (smoke scale)"
 # Completes-and-emits-valid-JSON check only — no performance gating in CI.
 CORGI_PIPELINE_TUPLES=1500 CORGI_PIPELINE_EPOCHS=2 \
   cargo run --release -p corgipile-bench --bin corgi-bench -- pipeline
-python3 -c "import json; json.load(open('BENCH_pipeline.json'))" \
-  || { echo "BENCH_pipeline.json is not valid JSON"; exit 1; }
+python3 -c "import json; json.load(open('$SMOKE/BENCH_pipeline.json'))" \
+  || { echo "$SMOKE/BENCH_pipeline.json is not valid JSON"; exit 1; }
 
 banner "Concurrency bench (smoke scale)"
 CORGI_CONCURRENCY_TUPLES=2000 CORGI_CONCURRENCY_EPOCHS=1 \
   cargo run --release -p corgipile-bench --bin corgi-bench -- concurrency
-python3 -c "import json; json.load(open('BENCH_concurrency.json'))" \
-  || { echo "BENCH_concurrency.json is not valid JSON"; exit 1; }
+python3 -c "import json; json.load(open('$SMOKE/BENCH_concurrency.json'))" \
+  || { echo "$SMOKE/BENCH_concurrency.json is not valid JSON"; exit 1; }
 
 banner "Pushdown bench (smoke scale)"
 CORGI_PUSHDOWN_TUPLES=2000 CORGI_PUSHDOWN_EPOCHS=1 \
   cargo run --release -p corgipile-bench --bin corgi-bench -- pushdown
-python3 -c "import json; json.load(open('BENCH_pushdown.json'))" \
-  || { echo "BENCH_pushdown.json is not valid JSON"; exit 1; }
+python3 -c "import json; json.load(open('$SMOKE/BENCH_pushdown.json'))" \
+  || { echo "$SMOKE/BENCH_pushdown.json is not valid JSON"; exit 1; }
 
 banner "Recovery bench (smoke scale)"
 CORGI_RECOVERY_TUPLES=2000 CORGI_RECOVERY_EPOCHS=2 \
   cargo run --release -p corgipile-bench --bin corgi-bench -- recovery
-python3 -c "import json; json.load(open('BENCH_recovery.json'))" \
-  || { echo "BENCH_recovery.json is not valid JSON"; exit 1; }
+python3 -c "import json; json.load(open('$SMOKE/BENCH_recovery.json'))" \
+  || { echo "$SMOKE/BENCH_recovery.json is not valid JSON"; exit 1; }
 
 banner "Serving hot-reload (predictors racing durable trains, bit-identical)"
 cargo test --release --test serving_hot_reload
@@ -60,10 +69,10 @@ CORGI_SERVING_TUPLES=2000 CORGI_SERVING_RUNS=1 CORGI_SERVING_BATCH_ROWS=128 \
   cargo run --release -p corgipile-bench --bin corgi-bench -- serving
 python3 -c "
 import json
-d = json.load(open('BENCH_serving.json'))
+d = json.load(open('$SMOKE/BENCH_serving.json'))
 assert all(s['predictions_per_sec'] > 0 for s in d['sessions']), d['sessions']
 assert d['bit_identical_all'], 'concurrent serving diverged from the serial reference'
-" || { echo "BENCH_serving.json failed the serving gate"; exit 1; }
+" || { echo "$SMOKE/BENCH_serving.json failed the serving gate"; exit 1; }
 
 banner "Vectorize bench (smoke scale)"
 # Gated: the fused pipeline must beat the interpreted tree by >= 1.3x
@@ -72,10 +81,10 @@ CORGI_VECTORIZE_TUPLES=2000 CORGI_VECTORIZE_EPOCHS=1 \
   cargo run --release -p corgipile-bench --bin corgi-bench -- vectorize
 python3 -c "
 import json
-d = json.load(open('BENCH_vectorize.json'))
+d = json.load(open('$SMOKE/BENCH_vectorize.json'))
 assert d['speedup'] >= 1.3, f\"fused speedup {d['speedup']} < 1.3x\"
 assert d['bit_identical_all'], 'fused pipeline diverged from the interpreted oracle'
-" || { echo "BENCH_vectorize.json failed the vectorize gate"; exit 1; }
+" || { echo "$SMOKE/BENCH_vectorize.json failed the vectorize gate"; exit 1; }
 
 banner "Planner bench (smoke scale)"
 # Gated: the cost-based chooser must move off plain CorgiPile on
@@ -86,11 +95,11 @@ CORGI_PLANNER_TUPLES=2000 CORGI_PLANNER_EPOCHS=20 \
   cargo run --release -p corgipile-bench --bin corgi-bench -- planner
 python3 -c "
 import json
-d = json.load(open('BENCH_planner.json'))
+d = json.load(open('$SMOKE/BENCH_planner.json'))
 assert d['choice_clustered'] in ('corgi2', 'block_reversal'), d['choice_clustered']
 assert d['choice_shuffled'] == 'corgipile', d['choice_shuffled']
 assert d['recluster_within_budget'], d
-" || { echo "BENCH_planner.json failed the planner gate"; exit 1; }
+" || { echo "$SMOKE/BENCH_planner.json failed the planner gate"; exit 1; }
 
 banner "Ingest + continuous training (concurrent INSERT/TRAIN, table-WAL crash matrix)"
 cargo test --release --test ingest_train
@@ -103,10 +112,10 @@ CORGI_INGEST_TUPLES=2000 CORGI_INGEST_EPOCHS=3 CORGI_INGEST_ROWS=2000 CORGI_INGE
   cargo run --release -p corgipile-bench --bin corgi-bench -- ingest
 python3 -c "
 import json
-d = json.load(open('BENCH_ingest.json'))
+d = json.load(open('$SMOKE/BENCH_ingest.json'))
 assert d['drift']['continuous_io_bytes'] < d['drift']['retrain_io_bytes'], d['drift']
 assert d['continuous_reaches_target'], d['drift']
 assert d['bit_identical_all'], 'continuous rerun diverged'
-" || { echo "BENCH_ingest.json failed the ingest gate"; exit 1; }
+" || { echo "$SMOKE/BENCH_ingest.json failed the ingest gate"; exit 1; }
 
 banner "CI gate passed"
