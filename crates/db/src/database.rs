@@ -100,14 +100,23 @@ impl Database {
         // Recovery registration: the latest durable version of every model
         // becomes the catalog object, exactly as if its training query had
         // just stored it — and the serving cache's active version, so
-        // `PREDICT` traffic survives an engine restart warm.
+        // `PREDICT` traffic survives an engine restart warm. A latest
+        // version with non-finite parameters is registered nowhere (and
+        // counted): serving it would answer NaN, and `LOAD MODEL … VERSION n`
+        // can still promote an earlier version.
+        let mut nonfinite = 0;
         for rec in store.models() {
-            db.catalog.store_model(&rec.name, rec.stored.clone());
-            db.model_cache
-                .publish(ServableModel::new(&rec.name, rec.version, rec.stored), true);
+            match ServableModel::try_new(&rec.name, rec.version, rec.stored.clone()) {
+                Ok(servable) => {
+                    db.catalog.store_model(&rec.name, rec.stored);
+                    db.model_cache.publish(servable, true);
+                }
+                Err(_) => nonfinite += 1,
+            }
         }
         let s = store.stats();
         let tel = &db.telemetry;
+        tel.counter("storage.wal.nonfinite_models").add(nonfinite);
         tel.counter("storage.wal.recovered_records")
             .add(s.recovered_records);
         tel.counter("storage.wal.torn_tail_bytes")

@@ -33,6 +33,15 @@ pub enum DbError {
         /// Epoch (0-based) in which divergence was detected.
         epoch: usize,
     },
+    /// A model version's parameters are not all finite, so it cannot be
+    /// served (e.g. a version written to a durable store before the
+    /// divergence guard existed). Nothing is cached or served.
+    NonFiniteModel {
+        /// Model name.
+        name: String,
+        /// The refused version.
+        version: u32,
+    },
     /// Storage-layer failure.
     Storage(StorageError),
 }
@@ -52,6 +61,10 @@ impl fmt::Display for DbError {
                 f,
                 "training diverged in epoch {epoch}: non-finite loss or parameters \
                  (try a smaller learning_rate)"
+            ),
+            DbError::NonFiniteModel { name, version } => write!(
+                f,
+                "model {name} version {version} has non-finite parameters and cannot be served"
             ),
             DbError::Storage(e) => write!(f, "storage error: {e}"),
         }

@@ -27,6 +27,7 @@
 //! entry.
 
 use crate::catalog::StoredModel;
+use crate::error::DbError;
 use corgipile_ml::Model;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,7 +42,9 @@ const RETAINED_VERSIONS: usize = 8;
 /// Built once (from the catalog object or a durable [`crate::ModelRecord`])
 /// and then only ever shared behind an `Arc`: the instantiated
 /// [`Model`] is never trained again, so concurrent prediction batches
-/// can read it without synchronization.
+/// can read it without synchronization. Every path that loads parameters
+/// into the cache refuses non-finite ones ([`ServableModel::try_new`]), so
+/// a cached entry is always servable and statements never re-check.
 pub struct ServableModel {
     name: String,
     version: u32,
@@ -50,7 +53,9 @@ pub struct ServableModel {
 }
 
 impl ServableModel {
-    /// Instantiate a servable entry from a catalog-form model.
+    /// Instantiate a servable entry from freshly trained parameters, which
+    /// the divergence guard has already found finite. Models read back from
+    /// a durable store or the catalog go through [`ServableModel::try_new`].
     pub fn new(name: impl Into<String>, version: u32, stored: StoredModel) -> Self {
         let model = stored.instantiate();
         ServableModel {
@@ -59,6 +64,21 @@ impl ServableModel {
             stored,
             model,
         }
+    }
+
+    /// [`ServableModel::new`] for parameters of unknown provenance: fails
+    /// with [`DbError::NonFiniteModel`] when any parameter is NaN or
+    /// infinite, so such a version is never cached or served.
+    pub fn try_new(
+        name: impl Into<String>,
+        version: u32,
+        stored: StoredModel,
+    ) -> Result<Self, DbError> {
+        let name = name.into();
+        if !stored.params.iter().all(|p| p.is_finite()) {
+            return Err(DbError::NonFiniteModel { name, version });
+        }
+        Ok(ServableModel::new(name, version, stored))
     }
 
     /// Model name (the cache key's first half).

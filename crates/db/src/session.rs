@@ -471,12 +471,10 @@ impl Session {
                 .version(name, v)
                 .ok_or_else(|| DbError::UnknownModel(format!("{name} version {v}")))?,
         };
+        let servable = ServableModel::try_new(name, rec.version, rec.stored.clone())?;
         self.catalog().store_model(name, rec.stored.clone());
         let cache = self.db.model_cache();
-        cache.publish(
-            ServableModel::new(name, rec.version, rec.stored.clone()),
-            false,
-        );
+        cache.publish(servable, false);
         if activate {
             cache.promote(name, rec.version);
         }
@@ -1617,7 +1615,7 @@ impl Session {
                 // Stash without activating: an explicit pin must not
                 // steal traffic from the active version.
                 Ok((
-                    cache.publish(ServableModel::new(name, v, rec.stored), false),
+                    cache.publish(ServableModel::try_new(name, v, rec.stored)?, false),
                     false,
                 ))
             }
@@ -1631,7 +1629,7 @@ impl Session {
                 let stored = self.catalog().model(name)?;
                 let v = cache.next_version(name);
                 Ok((
-                    cache.publish(ServableModel::new(name, v, stored), true),
+                    cache.publish(ServableModel::try_new(name, v, stored)?, true),
                     false,
                 ))
             }
@@ -3086,6 +3084,69 @@ mod tests {
         };
         assert_eq!(rolled_back.version, 1);
         assert_eq!(rolled_back.predictions, v1.predictions);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_non_finite_model_version_from_a_store_is_never_served() {
+        let dir = store_dir("nonfinite");
+        durable_session(500, &dir)
+            .execute(
+                "SELECT * FROM higgs TRAIN BY svm WITH max_epoch_num = 2, \
+                 model_name = m, durable = 1",
+            )
+            .unwrap();
+        // A later version holding a NaN, as a store written before the
+        // divergence guard could hold.
+        {
+            let store = crate::model_store::ModelStore::open(&dir).unwrap();
+            let good = store.latest("m").unwrap();
+            let mut bad = good.stored.clone();
+            bad.params[0] = f32::NAN;
+            store
+                .record_checkpoint("m", &good.source, 2, bad, good.checkpoint)
+                .unwrap();
+        }
+        let mut s = durable_session(500, &dir);
+        // Recovery registers the poisoned latest version nowhere, and
+        // counts it.
+        let nonfinite = s
+            .database()
+            .telemetry()
+            .snapshot()
+            .metrics
+            .counters
+            .into_iter()
+            .find(|(k, _)| k == "storage.wal.nonfinite_models")
+            .map(|(_, v)| v);
+        assert_eq!(nonfinite, Some(1));
+        assert_eq!(s.database().model_cache().active_version("m"), None);
+        assert!(s.catalog().model("m").is_err());
+        assert!(matches!(
+            s.execute("PREDICT m ON higgs"),
+            Err(DbError::UnknownModel(_))
+        ));
+        // Loading it explicitly is a typed refusal, and nothing is cached.
+        let refused = DbError::NonFiniteModel {
+            name: "m".into(),
+            version: 2,
+        };
+        assert_eq!(
+            s.execute("PREDICT m VERSION 2 ON higgs").unwrap_err(),
+            refused
+        );
+        assert_eq!(s.execute("LOAD MODEL m").unwrap_err(), refused);
+        assert!(s.catalog().model("m").is_err());
+        assert!(s.database().model_cache().versions("m").is_empty());
+        // The earlier, finite version still loads and serves.
+        s.execute("LOAD MODEL m VERSION 1 AS ACTIVE").unwrap();
+        match s.execute("PREDICT m ON higgs").unwrap() {
+            QueryResult::Serve(p) => {
+                assert_eq!(p.version, 1);
+                assert!(p.predictions.iter().all(|y| y.is_finite()));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -17,7 +17,12 @@ use crate::Result;
 pub const PAGE_SIZE: usize = 8192;
 
 /// A slotted page of encoded tuples.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `data` is allocated at the page's full capacity up front (and again when
+/// a page is cloned), so filling a page never reallocates: tables hold their
+/// pages behind `Arc`s and copy a shared tail page on write, and growing
+/// buffers by doubling would leave a trail of freed fragments per page.
+#[derive(Debug, PartialEq)]
 pub struct Page {
     /// Capacity in bytes. `PAGE_SIZE` for regular pages; larger for jumbo
     /// pages holding a single oversized tuple.
@@ -31,18 +36,18 @@ pub struct Page {
 impl Page {
     /// Create an empty page of standard size.
     pub fn new() -> Self {
-        Page {
-            capacity: PAGE_SIZE,
-            data: Vec::new(),
-            slots: Vec::new(),
-        }
+        Page::with_capacity(PAGE_SIZE)
     }
 
     /// Create a jumbo page sized to hold exactly one tuple of `bytes` bytes.
     pub fn new_jumbo(bytes: usize) -> Self {
+        Page::with_capacity(bytes.max(PAGE_SIZE))
+    }
+
+    fn with_capacity(capacity: usize) -> Self {
         Page {
-            capacity: bytes.max(PAGE_SIZE),
-            data: Vec::new(),
+            capacity,
+            data: Vec::with_capacity(capacity),
             slots: Vec::new(),
         }
     }
@@ -118,6 +123,18 @@ impl Page {
         PageTuples {
             page: self,
             next: 0,
+        }
+    }
+}
+
+impl Clone for Page {
+    fn clone(&self) -> Self {
+        let mut data = Vec::with_capacity(self.capacity);
+        data.extend_from_slice(&self.data);
+        Page {
+            capacity: self.capacity,
+            data,
+            slots: self.slots.clone(),
         }
     }
 }

@@ -419,7 +419,10 @@ fn verify_block_crc(block: usize, meta: &FileBlockMeta, data: &[u8]) -> Result<(
     Ok(())
 }
 
-fn decode_block(data: &[u8], expected: u64) -> Result<Vec<Tuple>> {
+/// Decode the tuples of heap block `block`. Rows holding a NaN or infinite
+/// feature or label are rejected as corrupt: nothing downstream (training,
+/// serving, ĥ_D estimation) is defined on them.
+fn decode_block(block: usize, data: &[u8], expected: u64) -> Result<Vec<Tuple>> {
     let mut tuples = Vec::with_capacity(expected as usize);
     let mut pos = 0usize;
     while pos < data.len() {
@@ -434,6 +437,12 @@ fn decode_block(data: &[u8], expected: u64) -> Result<Vec<Tuple>> {
         let (t, used) = Tuple::decode(&data[pos..pos + len])?;
         if used != len {
             return Err(StorageError::Corrupt("tuple length mismatch".into()));
+        }
+        if !t.is_finite() {
+            return Err(StorageError::Corrupt(format!(
+                "block {block}: tuple {} holds a non-finite feature or label",
+                t.id
+            )));
         }
         tuples.push(t);
         pos += len;
@@ -458,7 +467,7 @@ pub fn load_table(path: &Path) -> Result<Table> {
         f.read_exact(&mut data)
             .map_err(|e| io_err("read block", e))?;
         verify_block_crc(blk, meta, &data)?;
-        for t in decode_block(&data, meta.tuple_count)? {
+        for t in decode_block(blk, &data, meta.tuple_count)? {
             builder.append(&t)?;
             seen += 1;
         }
@@ -571,7 +580,7 @@ impl FileTable {
                 .map_err(|e| io_err("read block", e))?;
         }
         verify_block_crc(id, &meta, &data)?;
-        decode_block(&data, meta.tuple_count)
+        decode_block(id, &data, meta.tuple_count)
     }
 
     /// [`FileTable::read_block`] with bounded retries: retryable failures
@@ -676,6 +685,50 @@ mod tests {
         assert_eq!(back.config().block_bytes, table.config().block_bytes);
         assert_eq!(back.all_tuples(), table.all_tuples());
         assert_eq!(back.num_blocks(), table.num_blocks());
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected_naming_the_block() {
+        let cfg = TableConfig::new("inf", 3).with_block_bytes(crate::page::PAGE_SIZE);
+        let bad = 700u64;
+        let table = Table::from_tuples(
+            cfg,
+            (0..1000u64).map(|id| {
+                let x = if id == bad { f32::INFINITY } else { id as f32 };
+                Tuple::dense(id, vec![x, 1.0], 1.0)
+            }),
+        )
+        .unwrap();
+        let block = table
+            .blocks()
+            .iter()
+            .position(|b| b.tuples.contains(&bad))
+            .unwrap();
+        assert!(block > 0, "the bad row should sit past the first block");
+        let path = tmp("nonfinite.tbl");
+        save_table(&table, &path).unwrap();
+        match load_table(&path) {
+            Err(StorageError::Corrupt(msg)) => {
+                assert!(msg.contains(&format!("block {block}")), "{msg}");
+                assert!(msg.contains("non-finite"), "{msg}");
+            }
+            other => panic!("expected a typed corruption error, got {other:?}"),
+        }
+        let ft = FileTable::open(&path).unwrap();
+        assert!(ft.read_block(0).is_ok());
+        assert!(matches!(
+            ft.read_block(block),
+            Err(StorageError::Corrupt(_))
+        ));
+
+        let nan_label = Table::from_tuples(
+            TableConfig::new("nan", 4),
+            [Tuple::sparse(0, 8, vec![1], vec![0.5], f32::NAN)],
+        )
+        .unwrap();
+        save_table(&nan_label, &path).unwrap();
+        assert!(matches!(load_table(&path), Err(StorageError::Corrupt(_))));
         std::fs::remove_file(path).ok();
     }
 

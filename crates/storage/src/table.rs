@@ -21,6 +21,7 @@ use crate::page::{Page, PAGE_SIZE};
 use crate::retry::RetryPolicy;
 use crate::tuple::{Tuple, TupleId};
 use crate::Result;
+use std::sync::Arc;
 
 /// Default block size: 10 MB (the paper's recommended sweet spot, §7.3.4).
 pub const DEFAULT_BLOCK_BYTES: usize = 10 << 20;
@@ -71,10 +72,15 @@ impl TableConfig {
 }
 
 /// Incrementally builds a [`Table`] from a tuple stream.
+///
+/// Pages are held behind `Arc`s: a [`TableBuilder::snapshot`] shares every
+/// page with the builder, and the builder's next append copies the shared
+/// tail page on write ([`Arc::make_mut`]) — so sealed pages are never
+/// copied, and each publish copies at most one page.
 #[derive(Debug)]
 pub struct TableBuilder {
     config: TableConfig,
-    pages: Vec<Page>,
+    pages: Vec<Arc<Page>>,
     tuple_count: u64,
     any_toast: bool,
 }
@@ -104,20 +110,19 @@ impl TableBuilder {
             if !fresh.fits(len) {
                 fresh = Page::new_jumbo(len + 16);
             }
-            self.pages.push(fresh);
+            self.pages.push(Arc::new(fresh));
         }
-        self.pages
-            .last_mut()
-            .expect("page pushed above")
-            .push(tuple)?;
+        let tail = self.pages.last_mut().expect("page pushed above");
+        Arc::make_mut(tail).push(tuple)?;
         self.tuple_count += 1;
         Ok(())
     }
 
-    /// Re-open a finished table for further appends. The builder starts
-    /// with a clone of the table's pages, so the table itself stays
-    /// immutable — this is how [`AppendableTable`](crate::AppendableTable)
-    /// seeds its writer from the currently-registered snapshot.
+    /// Re-open a finished table for further appends. The builder shares
+    /// the table's pages (a pointer copy each) and copies the tail page on
+    /// its first append, so the table itself stays immutable — this is how
+    /// [`AppendableTable`](crate::AppendableTable) seeds its writer from the
+    /// currently-registered snapshot.
     pub fn from_table(table: &Table) -> TableBuilder {
         TableBuilder {
             config: table.config.clone(),
@@ -138,45 +143,31 @@ impl TableBuilder {
     }
 
     /// Plan block boundaries over the current pages without consuming the
-    /// builder: an immutable point-in-time [`Table`] that shares nothing
-    /// mutable with the builder, so appends can continue underneath it.
-    pub fn snapshot(&self) -> Table {
-        let page_bytes: Vec<usize> = self.pages.iter().map(|p| p.disk_bytes()).collect();
-        let page_tuples: Vec<usize> = self.pages.iter().map(|p| p.tuple_count()).collect();
-        let blocks = plan_blocks(&page_bytes, &page_tuples, self.config.block_bytes);
-        let total_bytes = page_bytes.iter().sum();
-        Table {
-            config: self.config.clone(),
-            pages: self.pages.clone(),
-            blocks,
-            tuple_count: self.tuple_count,
-            total_bytes,
-            any_toast: self.any_toast,
-        }
+    /// builder: an immutable point-in-time [`Table`] under `table_id` that
+    /// shares the builder's pages. Appends continue underneath it — the
+    /// builder copies the shared tail page before writing to it, so the
+    /// snapshot never sees a later row.
+    pub fn snapshot(&self, table_id: u32) -> Table {
+        let mut config = self.config.clone();
+        config.table_id = table_id;
+        Table::plan(config, self.pages.clone(), self.tuple_count, self.any_toast)
     }
 
     /// Finish: plan block boundaries and seal the table.
     pub fn finish(self) -> Table {
-        let page_bytes: Vec<usize> = self.pages.iter().map(|p| p.disk_bytes()).collect();
-        let page_tuples: Vec<usize> = self.pages.iter().map(|p| p.tuple_count()).collect();
-        let blocks = plan_blocks(&page_bytes, &page_tuples, self.config.block_bytes);
-        let total_bytes = page_bytes.iter().sum();
-        Table {
-            config: self.config,
-            pages: self.pages,
-            blocks,
-            tuple_count: self.tuple_count,
-            total_bytes,
-            any_toast: self.any_toast,
-        }
+        Table::plan(self.config, self.pages, self.tuple_count, self.any_toast)
     }
 }
 
 /// An immutable heap table.
+///
+/// Its pages are shared (`Arc`) with every other version of the same table
+/// — earlier and later snapshots, a re-chunked copy, the writer's builder —
+/// so cloning a table copies one pointer per page, never page bytes.
 #[derive(Debug, Clone)]
 pub struct Table {
     config: TableConfig,
-    pages: Vec<Page>,
+    pages: Vec<Arc<Page>>,
     blocks: Vec<BlockMeta>,
     tuple_count: u64,
     total_bytes: usize,
@@ -184,6 +175,28 @@ pub struct Table {
 }
 
 impl Table {
+    /// Seal `pages` into a table: plan its blocks against
+    /// `config.block_bytes`.
+    fn plan(
+        config: TableConfig,
+        pages: Vec<Arc<Page>>,
+        tuple_count: u64,
+        any_toast: bool,
+    ) -> Table {
+        let page_bytes: Vec<usize> = pages.iter().map(|p| p.disk_bytes()).collect();
+        let page_tuples: Vec<usize> = pages.iter().map(|p| p.tuple_count()).collect();
+        let blocks = plan_blocks(&page_bytes, &page_tuples, config.block_bytes);
+        let total_bytes = page_bytes.iter().sum();
+        Table {
+            config,
+            pages,
+            blocks,
+            tuple_count,
+            total_bytes,
+            any_toast,
+        }
+    }
+
     /// Build a table from an iterator of tuples.
     pub fn from_tuples<I>(config: TableConfig, tuples: I) -> Result<Table>
     where
@@ -457,32 +470,19 @@ impl Table {
         out
     }
 
-    /// A copy of this table under a fresh `table_id`. Device/pool caches key
-    /// extents by `(table_id, block)`, so every published table version must
-    /// carry its own id — two versions sharing an id would alias cache
-    /// entries across different block contents.
-    pub fn with_table_id(&self, table_id: u32) -> Table {
-        let mut out = self.clone();
-        out.config.table_id = table_id;
-        out
-    }
-
-    /// Re-plan the block boundaries with a new block size (metadata-only in
-    /// spirit; pages are untouched). Used by the SQL surface's
-    /// `block_size = …` parameter (§6.1).
+    /// Re-plan the block boundaries with a new block size. Only metadata is
+    /// new: the pages are shared with `self` (one pointer copy per page).
+    /// Used by the SQL surface's `block_size = …` parameter (§6.1).
     pub fn rechunk(&self, block_bytes: usize) -> Result<Table> {
-        if block_bytes == 0 {
-            return Err(StorageError::InvalidConfig(
-                "block_bytes must be > 0".into(),
-            ));
-        }
-        let page_bytes: Vec<usize> = self.pages.iter().map(|p| p.disk_bytes()).collect();
-        let page_tuples: Vec<usize> = self.pages.iter().map(|p| p.tuple_count()).collect();
-        let blocks = plan_blocks(&page_bytes, &page_tuples, block_bytes);
-        let mut out = self.clone();
-        out.config.block_bytes = block_bytes;
-        out.blocks = blocks;
-        Ok(out)
+        let mut config = self.config.clone();
+        config.block_bytes = block_bytes;
+        config.validate()?;
+        Ok(Table::plan(
+            config,
+            self.pages.clone(),
+            self.tuple_count,
+            self.any_toast,
+        ))
     }
 
     /// Materialize a reordered copy (Shuffle Once's offline shuffle).
@@ -789,6 +789,53 @@ mod tests {
             assert_eq!(x, y);
         }
         assert_eq!(a.stats(), b.stats());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Snapshots taken between random-sized appends (mid-page, across
+        /// block seals, around a jumbo tuple) stay exactly what they were
+        /// when taken, and consecutive snapshots share their sealed pages
+        /// rather than copying them.
+        #[test]
+        fn prop_snapshots_are_isolated_and_share_sealed_pages(
+            ops in proptest::collection::vec((0usize..120, any::<bool>(), any::<bool>()), 1..16)
+        ) {
+            let cfg = TableConfig::new("t", 1).with_block_bytes(2 * PAGE_SIZE);
+            let mut b = TableBuilder::new(cfg.clone()).unwrap();
+            let mut appended: Vec<Tuple> = Vec::new();
+            let mut snaps: Vec<Table> = Vec::new();
+            for (i, &(batch, jumbo, snap)) in ops.iter().enumerate() {
+                for k in 0..batch {
+                    let id = appended.len() as u64;
+                    let width = if jumbo && k == batch / 2 { 4096 } else { 6 };
+                    let t = Tuple::dense(id, vec![id as f32; width], 1.0);
+                    b.append(&t).unwrap();
+                    appended.push(t);
+                }
+                if !snap && i + 1 < ops.len() {
+                    continue;
+                }
+                let next = b.snapshot(i as u32 + 2);
+                prop_assert_eq!(next.config().table_id, i as u32 + 2);
+                if let Some(prev) = snaps.last() {
+                    let sealed = prev.pages.len().saturating_sub(1);
+                    for (p, q) in prev.pages[..sealed].iter().zip(&next.pages) {
+                        prop_assert!(Arc::ptr_eq(p, q), "sealed page copied by a publish");
+                    }
+                }
+                snaps.push(next);
+            }
+            for snap in &snaps {
+                let n = snap.num_tuples() as usize;
+                let fresh = Table::from_tuples(cfg.clone(), appended[..n].iter().cloned()).unwrap();
+                prop_assert_eq!(snap.all_tuples(), appended[..n].to_vec());
+                prop_assert_eq!(snap.num_blocks(), fresh.num_blocks());
+                prop_assert_eq!(snap.total_bytes(), fresh.total_bytes());
+                prop_assert_eq!(snap.blocks(), fresh.blocks());
+            }
+        }
     }
 
     proptest! {

@@ -410,6 +410,15 @@ impl Tuple {
         }
     }
 
+    /// Whether the label and every stored feature value are finite (no NaN
+    /// or infinity).
+    pub fn is_finite(&self) -> bool {
+        let values = match &self.features {
+            FeatureVec::Dense(values) | FeatureVec::Sparse { values, .. } => values,
+        };
+        self.label.is_finite() && values.iter().all(|v| v.is_finite())
+    }
+
     /// Create a sparse tuple.
     pub fn sparse(id: TupleId, dim: u32, indices: Vec<u32>, values: Vec<f32>, label: f32) -> Self {
         Tuple {

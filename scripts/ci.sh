@@ -15,6 +15,9 @@ cargo test -q
 banner "Test (whole workspace: every crate's unit, property and oracle tests)"
 cargo test --workspace -q
 
+banner "Test (benchmark harness: BENCHMARK.json and manifest.json agree)"
+cargo test --manifest-path perfbench/Cargo.toml --offline -q
+
 banner "Format check"
 cargo fmt --check
 
