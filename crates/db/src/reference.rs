@@ -188,7 +188,7 @@ fn reference_train(table: &Table, run: &Run) -> Outcome {
                         table.scan_block_sequential(b, pos == 0, &mut dev).unwrap();
                     }
                 }
-                let range = table.blocks()[b].tuples.clone();
+                let range = table.block(b).unwrap().tuples.clone();
                 for t in &all[range.start as usize..range.end as usize] {
                     raw.push(t.clone());
                     seen.extend(run.view(t));

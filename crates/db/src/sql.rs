@@ -428,71 +428,174 @@ impl ShowTarget {
     }
 }
 
+/// A cursor over the query text that scans one token at a time: the
+/// statement is never split into a token vector. Whitespace and
+/// delimiters are ASCII bytes only, so a token never ends inside a
+/// multi-byte UTF-8 character.
 struct Tokens<'a> {
-    toks: Vec<&'a str>,
+    input: &'a str,
     pos: usize,
 }
 
-fn tokenize(input: &str) -> Vec<&str> {
-    let mut toks = Vec::new();
-    let bytes = input.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c.is_whitespace() {
-            i += 1;
-        } else if c == ',' || c == '=' || c == '*' || c == ';' || c == '(' || c == ')' {
-            toks.push(&input[i..i + 1]);
-            i += 1;
-        } else if c == '<' || c == '>' || c == '!' {
-            // Comparison operators, including the two-character forms
-            // `<=`, `>=`, `!=`, `<>`.
-            let next = bytes.get(i + 1).map(|&b| b as char);
-            let len = match (c, next) {
-                (_, Some('=')) | ('<', Some('>')) => 2,
-                _ => 1,
-            };
-            toks.push(&input[i..i + len]);
-            i += len;
-        } else if c == '\'' {
-            let start = i + 1;
-            let mut j = start;
-            while j < bytes.len() && bytes[j] as char != '\'' {
-                j += 1;
-            }
-            toks.push(&input[start..j]);
-            // Mark it as a string by pushing the quotes separately? Instead
-            // we rely on position: quoted strings become plain tokens.
-            i = j + 1;
-        } else {
-            let start = i;
-            while i < bytes.len() {
-                let c = bytes[i] as char;
-                if c.is_whitespace()
-                    || matches!(
-                        c,
-                        ',' | '=' | '*' | ';' | '(' | ')' | '\'' | '<' | '>' | '!'
-                    )
-                {
-                    break;
-                }
-                i += 1;
-            }
-            toks.push(&input[start..i]);
+/// ASCII whitespace (the ASCII members of Unicode `White_Space`).
+fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
+}
+
+/// Bytes that end a bare word: whitespace, punctuation and the starts of
+/// quoted strings and comparison operators.
+fn ends_word(b: u8) -> bool {
+    is_space(b)
+        || matches!(
+            b,
+            b',' | b'=' | b'*' | b';' | b'(' | b')' | b'\'' | b'<' | b'>' | b'!'
+        )
+}
+
+/// `10^k` for the exact range of f64 (`k <= 22`).
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// Value of a plain decimal literal (`[+-]digits[.digits]`, no exponent)
+/// that starts at `bytes[0]`, and its length, when Clinger's fast path
+/// applies: at most 19 digits, a mantissa `m <= 2^53` and at most 22
+/// fraction digits `k`. Then `m` and `10^k` are exact f64s, and the one
+/// correctly rounded division `m / 10^k` equals what `str::parse::<f64>`
+/// returns. `None` means "not in that form": the caller falls back to the
+/// general parser.
+fn fast_decimal(bytes: &[u8]) -> Option<(f64, usize)> {
+    let (neg, mut i) = match bytes.first() {
+        Some(b'-') => (true, 1),
+        Some(b'+') => (false, 1),
+        _ => (false, 0),
+    };
+    // Digits past the 19th may wrap the mantissa; such literals are
+    // rejected below.
+    let mut mantissa = 0u64;
+    let mut digits = |i: &mut usize| {
+        let start = *i;
+        while let Some(d) = bytes
+            .get(*i)
+            .map(|b| b.wrapping_sub(b'0'))
+            .filter(|d| *d < 10)
+        {
+            mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(d));
+            *i += 1;
         }
+        *i - start
+    };
+    let whole = digits(&mut i);
+    let mut frac = 0;
+    if bytes.get(i) == Some(&b'.') {
+        i += 1;
+        frac = digits(&mut i);
     }
-    toks
+    let ends = bytes.get(i).is_none_or(|&b| ends_word(b));
+    if !ends || whole + frac == 0 || whole + frac > 19 || frac > 22 || mantissa > 1 << 53 {
+        return None;
+    }
+    let v = mantissa as f64 / POW10[frac];
+    Some((if neg { -v } else { v }, i))
 }
 
 impl<'a> Tokens<'a> {
+    fn new(input: &'a str) -> Self {
+        Tokens { input, pos: 0 }
+    }
+
+    /// Position of the next non-whitespace byte at or after `pos`.
+    fn skip_space(&self) -> usize {
+        let bytes = self.input.as_bytes();
+        let mut i = self.pos;
+        while i < bytes.len() && is_space(bytes[i]) {
+            i += 1;
+        }
+        i
+    }
+
+    /// The next token and the position just past it.
+    fn scan(&self) -> Option<(&'a str, usize)> {
+        let input = self.input;
+        let bytes = input.as_bytes();
+        let i = self.skip_space();
+        let &c = bytes.get(i)?;
+        Some(match c {
+            b',' | b'=' | b'*' | b';' | b'(' | b')' => (&input[i..i + 1], i + 1),
+            b'<' | b'>' | b'!' => {
+                // Comparison operators, including the two-character forms
+                // `<=`, `>=`, `!=`, `<>`.
+                let len = match (c, bytes.get(i + 1)) {
+                    (_, Some(b'=')) | (b'<', Some(b'>')) => 2,
+                    _ => 1,
+                };
+                (&input[i..i + len], i + len)
+            }
+            b'\'' => {
+                // A quoted string is a plain token holding its contents; an
+                // unterminated one runs to the end of input.
+                let start = i + 1;
+                let end = bytes[start..]
+                    .iter()
+                    .position(|&b| b == b'\'')
+                    .map_or(bytes.len(), |n| start + n);
+                (&input[start..end], (end + 1).min(bytes.len()))
+            }
+            _ => {
+                let end = bytes[i..]
+                    .iter()
+                    .position(|&b| ends_word(b))
+                    .map_or(bytes.len(), |n| i + n);
+                (&input[i..end], end)
+            }
+        })
+    }
+
+    /// Consume the next token if it is the one-byte punctuation `b`.
+    fn eat(&mut self, b: u8) -> bool {
+        let i = self.skip_space();
+        let hit = self.input.as_bytes().get(i) == Some(&b);
+        if hit {
+            self.pos = i + 1;
+        }
+        hit
+    }
+
     fn peek(&self) -> Option<&'a str> {
-        self.toks.get(self.pos).copied()
+        self.scan().map(|(tok, _)| tok)
     }
 
     fn bump(&mut self) -> Option<&'a str> {
-        let t = self.peek();
-        self.pos += 1;
-        t
+        let (tok, end) = self.scan()?;
+        self.pos = end;
+        Some(tok)
+    }
+
+    /// The next INSERT value: a numeric literal that is finite as f32.
+    /// Plain decimals are scanned and valued in one pass
+    /// ([`fast_decimal`]); any other token goes through
+    /// `str::parse::<f64>`, so the result is bit-identical either way.
+    fn insert_value(&mut self) -> Result<f64, DbError> {
+        let start = self.skip_space();
+        if let Some((v, len)) = fast_decimal(&self.input.as_bytes()[start..]) {
+            // |v| <= 2^53, so it is finite as f32 too.
+            self.pos = start + len;
+            return Ok(v);
+        }
+        let tok = self
+            .bump()
+            .ok_or_else(|| DbError::Parse("expected numeric literal, found end of input".into()))?;
+        // Values are stored as f32: a literal such as 1e300 is finite as
+        // f64 but would land on the page as inf.
+        tok.parse::<f64>()
+            .ok()
+            .filter(|v| (*v as f32).is_finite())
+            .ok_or_else(|| {
+                DbError::Parse(format!(
+                    "INSERT values must be numeric literals finite as f32, found {tok:?}"
+                ))
+            })
     }
 
     fn expect_kw(&mut self, kw: &str) -> Result<(), DbError> {
@@ -539,11 +642,7 @@ fn parse_value(tok: &str) -> ParamValue {
 
 /// Parse one query.
 pub fn parse(input: &str) -> Result<Query, DbError> {
-    let mut t = Tokens {
-        toks: tokenize(input),
-        pos: 0,
-    };
-    parse_tokens(&mut t)
+    parse_tokens(&mut Tokens::new(input))
 }
 
 // Predicate grammar (lowest to highest precedence):
@@ -673,6 +772,48 @@ fn parse_projection(t: &mut Tokens) -> Result<Projection, DbError> {
     Ok(Projection::Columns(cols))
 }
 
+/// `(v, …) [, (v, …)]*` after `VALUES`, in one pass over the text: each
+/// literal is scanned and valued where it stands ([`Tokens::insert_value`]),
+/// and every row is presized to the first row's width.
+fn parse_insert_rows(t: &mut Tokens) -> Result<Vec<Vec<f64>>, DbError> {
+    let mut rows: Vec<Vec<f64>> = Vec::new();
+    loop {
+        t.expect_kw("(")?;
+        let mut vals = Vec::with_capacity(rows.first().map_or(0, Vec::len));
+        loop {
+            vals.push(t.insert_value()?);
+            if t.eat(b',') {
+                continue;
+            }
+            if t.eat(b')') {
+                break;
+            }
+            return Err(DbError::Parse(match t.bump() {
+                Some(other) => format!("expected ',' or ')', found {other:?}"),
+                None => "expected ')', found end of input".into(),
+            }));
+        }
+        if vals.len() < 2 {
+            return Err(DbError::Parse(
+                "INSERT rows need at least one feature value and a label".into(),
+            ));
+        }
+        rows.push(vals);
+        match t.peek() {
+            Some(",") => {
+                t.bump();
+            }
+            Some(";") | None => break,
+            Some(other) => {
+                return Err(DbError::Parse(format!(
+                    "expected ',' or end of query, found {other:?}"
+                )))
+            }
+        }
+    }
+    Ok(rows)
+}
+
 /// Parse one query from the remaining token stream. `EXPLAIN [ANALYZE]`
 /// recurses over the tokens that follow the keyword rather than re-finding
 /// a substring in the raw input.
@@ -715,58 +856,7 @@ fn parse_tokens(t: &mut Tokens) -> Result<Query, DbError> {
             t.expect_kw("INTO")?;
             let table = t.ident("table name")?;
             t.expect_kw("VALUES")?;
-            let mut rows = Vec::new();
-            loop {
-                t.expect_kw("(")?;
-                let mut vals = Vec::new();
-                loop {
-                    let tok = t.bump().ok_or_else(|| {
-                        DbError::Parse("expected numeric literal, found end of input".into())
-                    })?;
-                    // Values are stored as f32: a literal such as 1e300
-                    // is finite as f64 but would land on the page as inf.
-                    let v = tok
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|v| (*v as f32).is_finite())
-                        .ok_or_else(|| {
-                            DbError::Parse(format!(
-                                "INSERT values must be numeric literals finite as f32, \
-                                 found {tok:?}"
-                            ))
-                        })?;
-                    vals.push(v);
-                    match t.bump() {
-                        Some(",") => {}
-                        Some(")") => break,
-                        Some(other) => {
-                            return Err(DbError::Parse(format!(
-                                "expected ',' or ')', found {other:?}"
-                            )))
-                        }
-                        None => {
-                            return Err(DbError::Parse("expected ')', found end of input".into()))
-                        }
-                    }
-                }
-                if vals.len() < 2 {
-                    return Err(DbError::Parse(
-                        "INSERT rows need at least one feature value and a label".into(),
-                    ));
-                }
-                rows.push(vals);
-                match t.peek() {
-                    Some(",") => {
-                        t.bump();
-                    }
-                    Some(";") | None => break,
-                    Some(other) => {
-                        return Err(DbError::Parse(format!(
-                            "expected ',' or end of query, found {other:?}"
-                        )))
-                    }
-                }
-            }
+            let rows = parse_insert_rows(t)?;
             return Ok(Query::Insert { table, rows });
         }
         Some(w) if w.eq_ignore_ascii_case("RECLUSTER") => {
@@ -1552,5 +1642,293 @@ mod tests {
             parse("SELECT * FROM t WHERE f0 > 1 PREDICT BY m"),
             Err(DbError::Parse(_))
         ));
+    }
+
+    #[test]
+    fn non_ascii_input_never_splits_a_character() {
+        // UTF-8 continuation bytes such as 0xA0 (in `à`) and 0x85 (in `ą`)
+        // are not whitespace: only ASCII bytes delimit tokens.
+        let (table, model, ..) = train_parts("SELECT * FROM à TRAIN BY lr");
+        assert_eq!((table.as_str(), model.as_str()), ("à", "lr"));
+        match parse("SHOW ą") {
+            Err(DbError::Parse(m)) => assert!(m.contains("not supported"), "{m}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        // U+00A0 and U+0085 themselves are characters, not separators.
+        assert!(parse("SELECT * FROM t\u{a0}TRAIN BY lr").is_err());
+        assert!(parse("SHOW\u{85}TABLES").is_err());
+    }
+
+    /// The token-based INSERT loop that the one-pass scanner replaced:
+    /// every literal is a whole token handed to `str::parse::<f64>`. The
+    /// reference the scanner must match bit for bit.
+    fn reference_insert(input: &str) -> Result<Query, DbError> {
+        let mut t = Tokens::new(input);
+        t.expect_kw("INSERT")?;
+        t.expect_kw("INTO")?;
+        let table = t.ident("table name")?;
+        t.expect_kw("VALUES")?;
+        let mut rows = Vec::new();
+        loop {
+            t.expect_kw("(")?;
+            let mut vals = Vec::new();
+            loop {
+                let tok = t.bump().ok_or_else(|| {
+                    DbError::Parse("expected numeric literal, found end of input".into())
+                })?;
+                let v = tok
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|v| (*v as f32).is_finite())
+                    .ok_or_else(|| {
+                        DbError::Parse(format!(
+                            "INSERT values must be numeric literals finite as f32, found {tok:?}"
+                        ))
+                    })?;
+                vals.push(v);
+                match t.bump() {
+                    Some(",") => {}
+                    Some(")") => break,
+                    Some(other) => {
+                        return Err(DbError::Parse(format!(
+                            "expected ',' or ')', found {other:?}"
+                        )))
+                    }
+                    None => return Err(DbError::Parse("expected ')', found end of input".into())),
+                }
+            }
+            if vals.len() < 2 {
+                return Err(DbError::Parse(
+                    "INSERT rows need at least one feature value and a label".into(),
+                ));
+            }
+            rows.push(vals);
+            match t.peek() {
+                Some(",") => {
+                    t.bump();
+                }
+                Some(";") | None => break,
+                Some(other) => {
+                    return Err(DbError::Parse(format!(
+                        "expected ',' or end of query, found {other:?}"
+                    )))
+                }
+            }
+        }
+        Ok(Query::Insert { table, rows })
+    }
+
+    /// A small deterministic generator for building statements from one
+    /// sampled seed (splitmix64).
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
+            items[self.below(items.len())]
+        }
+    }
+
+    /// An f32 drawn from its whole finite range: random bit patterns
+    /// (subnormals and extremes included) half the time, small values
+    /// otherwise.
+    fn finite_f32(g: &mut Gen) -> f32 {
+        loop {
+            let v = if g.below(2) == 0 {
+                f32::from_bits(g.next() as u32)
+            } else {
+                (g.below(2_000_001) as f32 - 1e6) / 1e3
+            };
+            if v.is_finite() {
+                return v;
+            }
+        }
+    }
+
+    /// One literal for `v`, in a randomly chosen spelling.
+    fn render_literal(g: &mut Gen, v: f32) -> String {
+        match g.below(8) {
+            0 => format!("{v}"),
+            1 => format!("{v:e}"),
+            2 => format!("{v:.3}"),
+            3 if v >= 0.0 => format!("+{v}"),
+            4 => "-0".to_string(),
+            5 => format!("{}", v.trunc() as i64),
+            6 => {
+                // A mantissa longer than 20 digits.
+                let digits: String = (0..21 + g.below(10))
+                    .map(|_| char::from(b'0' + g.below(10) as u8))
+                    .collect();
+                let dot = g.below(digits.len() + 1);
+                format!("{}.{}", &digits[..dot], &digits[dot..])
+            }
+            _ => format!("{v:?}"),
+        }
+    }
+
+    fn insert_statement(g: &mut Gen) -> String {
+        const SPACE: [&str; 6] = ["", " ", "  ", "\n", "\t", " \r\n "];
+        let width = 2 + g.below(6);
+        let mut sql = format!("INSERT INTO t{}VALUES", g.pick(&[" ", "\n", " \t "]));
+        for r in 0..1 + g.below(5) {
+            if r > 0 {
+                sql.push_str(g.pick(&SPACE));
+                sql.push(',');
+            }
+            sql.push_str(g.pick(&SPACE));
+            sql.push('(');
+            for c in 0..width {
+                if c > 0 {
+                    sql.push(',');
+                }
+                sql.push_str(g.pick(&SPACE));
+                let v = finite_f32(g);
+                sql.push_str(&render_literal(g, v));
+                sql.push_str(g.pick(&SPACE));
+            }
+            sql.push(')');
+        }
+        sql.push_str(g.pick(&["", ";", " ;", "\n"]));
+        sql
+    }
+
+    fn bits(q: &Query) -> Vec<Vec<u64>> {
+        match q {
+            Query::Insert { rows, .. } => rows
+                .iter()
+                .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                .collect(),
+            other => panic!("expected Insert, got {other:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The one-pass INSERT scanner yields rows bit-equal to the
+        /// token-based reference on every spelling of every f32.
+        #[test]
+        fn prop_insert_scanner_matches_token_reference(seed in proptest::prelude::any::<u64>()) {
+            let sql = insert_statement(&mut Gen(seed));
+            let got = parse(&sql).unwrap_or_else(|e| panic!("{sql:?}: {e}"));
+            let want = reference_insert(&sql).unwrap_or_else(|e| panic!("{sql:?}: {e}"));
+            proptest::prop_assert_eq!(bits(&got), bits(&want), "{}", sql);
+        }
+    }
+
+    #[test]
+    fn insert_scanner_matches_reference_on_edge_literals() {
+        let literals = "0 -0 +0 0.0 -0.0 5. .5 -.5 +.5 007 1.50000 9007199254740992 \
+             9007199254740993 0.1 0.30000000000000004 1234567890123456789 \
+             12345678901234567890 0.0000000000000000000001 0.00000000000000000000001 \
+             3.4028235e38 1e-45 1E5 '2.5'";
+        for lit in literals.split_whitespace() {
+            let sql = format!("INSERT INTO t VALUES ({lit}, 1)");
+            let got = parse(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let want = reference_insert(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            assert_eq!(bits(&got), bits(&want), "{lit}");
+        }
+    }
+
+    #[test]
+    fn malformed_insert_literals_fail_in_scanner_and_reference() {
+        for bad in [
+            "INSERT INTO t VALUES (1e300, 1)",
+            "INSERT INTO t VALUES (nan, 1)",
+            "INSERT INTO t VALUES (1, inf)",
+            "INSERT INTO t VALUES ()",
+            "INSERT INTO t VALUES (1)",
+            "INSERT INTO t VALUES (1, 2,)",
+            "INSERT INTO t VALUES (1, 2), (3, 4),",
+            "INSERT INTO t VALUES (1, 2",
+            "INSERT INTO t VALUES (1..2, 1)",
+            "INSERT INTO t VALUES (--1, 1)",
+            "INSERT INTO t VALUES (., 1)",
+            "INSERT INTO t VALUES (1, -)",
+        ] {
+            for (which, got) in [
+                ("scanner", parse(bad)),
+                ("reference", reference_insert(bad)),
+            ] {
+                assert!(
+                    matches!(got, Err(DbError::Parse(_))),
+                    "{which}: {bad:?} should be a parse error, got {got:?}"
+                );
+            }
+            assert_eq!(parse(bad), reference_insert(bad), "{bad}: same message");
+        }
+    }
+
+    /// Statements of every kind, the seeds the fuzzer truncates and
+    /// mutates.
+    const VALID: [&str; 12] = [
+        "SELECT * FROM forest TRAIN BY svm WITH learning_rate = 0.1, block_size = 10MB, \
+         strategy = 'corgipile', model_name = m;",
+        "SELECT f0, f3, label FROM t WHERE f2 > 0.5 AND (label = 1 OR id <> 4) TRAIN BY lr \
+         CONTINUOUS WITH refresh = 2",
+        "SELECT * FROM forest PREDICT BY forest_svm",
+        "PREDICT m VERSION 2 ON t WHERE f1 >= -1.5 WITH batch_rows = 512;",
+        "INSERT INTO t VALUES (0.5, -1.25, 1), (+3e2, .5, -1);",
+        "SHOW TABLES",
+        "SHOW stats;",
+        "LOAD MODEL m VERSION 3 AS ACTIVE",
+        "RECLUSTER forest WITH io_budget = 0.25, seed = 7",
+        "EXPLAIN SELECT * FROM à TRAIN BY svm",
+        "EXPLAIN ANALYZE PREDICT ą ON t",
+        "INSERT INTO données VALUES (1, 2)",
+    ];
+
+    fn fuzz_text(g: &mut Gen) -> String {
+        const ALPHABET: [&str; 24] = [
+            "SELECT", "INSERT", "VALUES", "(", ")", ",", ";", "'", "=", "<", ">", "!", "*", " ",
+            "\n", "1.5", "-", ".", "e", "à", "ą", "\u{a0}", "\u{85}", "🦀",
+        ];
+        let mut s = String::new();
+        for _ in 0..g.below(40) {
+            if g.below(4) == 0 {
+                s.push(char::from_u32(g.next() as u32 % 0x11_0000).unwrap_or('\u{fffd}'));
+            } else {
+                s.push_str(g.pick(&ALPHABET));
+            }
+        }
+        s
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// `parse` returns `Ok` or `Err` on arbitrary text, on every
+        /// truncation of a valid statement and on single-byte
+        /// replacements of one; it never panics.
+        #[test]
+        fn prop_parse_never_panics(seed in proptest::prelude::any::<u64>()) {
+            let mut g = Gen(seed);
+            let _ = parse(&fuzz_text(&mut g));
+            let valid = VALID[g.below(VALID.len())];
+            let cut = g.below(valid.len() + 1);
+            let _ = parse(&String::from_utf8_lossy(&valid.as_bytes()[..cut]));
+            let mut bytes = valid.as_bytes().to_vec();
+            let at = g.below(bytes.len());
+            bytes[at] = g.next() as u8;
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    #[test]
+    fn valid_fuzz_seeds_parse() {
+        for sql in VALID {
+            assert!(parse(sql).is_ok(), "{sql}");
+        }
     }
 }

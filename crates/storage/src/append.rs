@@ -379,10 +379,10 @@ impl AppendableTable {
 
     /// Publish an immutable point-in-time table under a fresh `table_id`
     /// (each version needs its own id so device/pool caches never alias
-    /// blocks across versions). The table shares every page with the writer
-    /// and with earlier versions: a publish costs one pointer copy per page
-    /// plus block planning, and the next append copies at most the tail
-    /// page.
+    /// blocks across versions). The table shares its sealed block runs with
+    /// the writer and with earlier versions: a publish copies one pointer
+    /// per run plus the open block's page pointers, plans no block, and the
+    /// next append copies at most the tail page.
     pub fn snapshot_table(&self, table_id: u32) -> Table {
         self.builder.snapshot(table_id)
     }

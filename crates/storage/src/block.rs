@@ -35,12 +35,22 @@ impl BlockMeta {
     }
 }
 
-/// Plan the block boundaries for a sequence of page sizes.
+/// The greedy packing rule: whether a page of `page_bytes` starts a new
+/// block after an open block of `open_bytes` (a page never joins a block
+/// it would push past `block_bytes`; an empty block takes any page).
+pub(crate) fn starts_new_block(open_bytes: usize, page_bytes: usize, block_bytes: usize) -> bool {
+    open_bytes > 0 && open_bytes + page_bytes > block_bytes
+}
+
+/// Plan the block boundaries for a sequence of page sizes, from scratch.
 ///
 /// Greedily packs pages into blocks of at most `block_bytes` each; a single
 /// page larger than `block_bytes` (a jumbo page) gets its own block. Every
-/// page lands in exactly one block and page order is preserved.
-pub fn plan_blocks(
+/// page lands in exactly one block and page order is preserved. Tables
+/// pack incrementally, one page at a time, by the same rule; this is the
+/// reference their tests compare against.
+#[cfg(test)]
+pub(crate) fn plan_blocks(
     page_bytes: &[usize],
     page_tuples: &[usize],
     block_bytes: usize,
@@ -53,7 +63,7 @@ pub fn plan_blocks(
     let mut cur_bytes = 0usize;
     let mut cur_tuples = 0u64;
     for (i, (&b, &t)) in page_bytes.iter().zip(page_tuples).enumerate() {
-        if cur_bytes > 0 && cur_bytes + b > block_bytes {
+        if starts_new_block(cur_bytes, b, block_bytes) {
             blocks.push(BlockMeta {
                 id: blocks.len(),
                 pages: start_page..i,

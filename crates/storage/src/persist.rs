@@ -702,7 +702,6 @@ mod tests {
         .unwrap();
         let block = table
             .blocks()
-            .iter()
             .position(|b| b.tuples.contains(&bad))
             .unwrap();
         assert!(block > 0, "the bad row should sit past the first block");

@@ -14,7 +14,7 @@
 //!   storage, matching the paper's observations (§3.1, Table 1).
 
 use crate::batch::TupleBatch;
-use crate::block::{plan_blocks, BlockId, BlockMeta};
+use crate::block::{starts_new_block, BlockId, BlockMeta};
 use crate::device::{Access, SimDevice};
 use crate::error::StorageError;
 use crate::page::{Page, PAGE_SIZE};
@@ -71,6 +71,109 @@ impl TableConfig {
     }
 }
 
+/// Sealed blocks per [`BlockRun`]. A snapshot copies one pointer per run
+/// (about `blocks / RUN_BLOCKS`), and sealing a block into a run that a
+/// published table shares copies that one partial run's pointers.
+const RUN_BLOCKS: usize = 64;
+
+/// An immutable run of consecutive sealed blocks with their pages, shared
+/// by every table version that contains it. Every run holds
+/// [`RUN_BLOCKS`] blocks except the last, so block `id` lives in run
+/// `id / RUN_BLOCKS`.
+#[derive(Debug, Clone)]
+struct BlockRun {
+    /// Table-wide index of `pages[0]`.
+    first_page: usize,
+    pages: Vec<Arc<Page>>,
+    /// Block metadata in table coordinates (ids, page and tuple ranges).
+    blocks: Vec<BlockMeta>,
+}
+
+/// Pages carved into blocks: sealed blocks in shared [`BlockRun`]s, then
+/// the pages of the last block, which later appends may still extend.
+///
+/// Blocks are packed by the greedy rule of [`starts_new_block`], one page
+/// at a time: a page that would overflow the open block seals it. Greedy
+/// packing is prefix-stable — appending pages never changes a block
+/// before the last one — so this equals a from-scratch `plan_blocks` over
+/// all pages, while a new page only ever touches the open block.
+#[derive(Debug, Clone, Default)]
+struct Layout {
+    runs: Vec<Arc<BlockRun>>,
+    sealed_blocks: usize,
+    sealed_pages: usize,
+    sealed_tuples: u64,
+    sealed_bytes: usize,
+    /// Pages of the open (last) block.
+    open: Vec<Arc<Page>>,
+    open_bytes: usize,
+}
+
+impl Layout {
+    /// Add `page` after every page so far, sealing the open block first if
+    /// `page` would overflow it. `tuples_before` counts the tuples on all
+    /// earlier pages.
+    fn push_page(&mut self, page: Arc<Page>, tuples_before: u64, block_bytes: usize) {
+        let bytes = page.disk_bytes();
+        if starts_new_block(self.open_bytes, bytes, block_bytes) {
+            self.seal_open(tuples_before);
+        }
+        self.open_bytes += bytes;
+        self.open.push(page);
+    }
+
+    /// Move the open block into the last run (copying that run's page
+    /// pointers first if a published table shares it) or into a new run.
+    fn seal_open(&mut self, tuples_end: u64) {
+        let n = self.open.len();
+        let meta = BlockMeta {
+            id: self.sealed_blocks,
+            pages: self.sealed_pages..self.sealed_pages + n,
+            tuples: self.sealed_tuples..tuples_end,
+            bytes: self.open_bytes,
+        };
+        self.sealed_blocks += 1;
+        self.sealed_pages += n;
+        self.sealed_tuples = tuples_end;
+        self.sealed_bytes += self.open_bytes;
+        self.open_bytes = 0;
+        if self
+            .runs
+            .last()
+            .is_none_or(|r| r.blocks.len() == RUN_BLOCKS)
+        {
+            // Sized for a full run of blocks like this one.
+            self.runs.push(Arc::new(BlockRun {
+                first_page: meta.pages.start,
+                pages: Vec::with_capacity(RUN_BLOCKS * n),
+                blocks: Vec::with_capacity(RUN_BLOCKS),
+            }));
+        }
+        let run = Arc::make_mut(self.runs.last_mut().expect("a run exists"));
+        run.pages.append(&mut self.open);
+        run.blocks.push(meta);
+    }
+
+    /// Metadata of the open block once it holds `tuple_count` tuples in
+    /// total; `None` for an empty table.
+    fn open_meta(&self, tuple_count: u64) -> Option<BlockMeta> {
+        (!self.open.is_empty()).then(|| BlockMeta {
+            id: self.sealed_blocks,
+            pages: self.sealed_pages..self.sealed_pages + self.open.len(),
+            tuples: self.sealed_tuples..tuple_count,
+            bytes: self.open_bytes,
+        })
+    }
+
+    /// Every page in table order.
+    fn pages(&self) -> impl Iterator<Item = &Arc<Page>> {
+        self.runs
+            .iter()
+            .flat_map(|r| r.pages.iter())
+            .chain(&self.open)
+    }
+}
+
 /// Incrementally builds a [`Table`] from a tuple stream.
 ///
 /// Pages are held behind `Arc`s: a [`TableBuilder::snapshot`] shares every
@@ -80,7 +183,7 @@ impl TableConfig {
 #[derive(Debug)]
 pub struct TableBuilder {
     config: TableConfig,
-    pages: Vec<Arc<Page>>,
+    layout: Layout,
     tuple_count: u64,
     any_toast: bool,
 }
@@ -91,7 +194,7 @@ impl TableBuilder {
         config.validate()?;
         Ok(TableBuilder {
             config,
-            pages: Vec::new(),
+            layout: Layout::default(),
             tuple_count: 0,
             any_toast: false,
         })
@@ -104,29 +207,31 @@ impl TableBuilder {
         if len > self.config.toast_threshold {
             self.any_toast = true;
         }
-        let fits_current = self.pages.last().map(|p| p.fits(len)).unwrap_or(false);
+        let fits_current = self.layout.open.last().is_some_and(|p| p.fits(len));
         if !fits_current {
             let mut fresh = Page::new();
             if !fresh.fits(len) {
                 fresh = Page::new_jumbo(len + 16);
             }
-            self.pages.push(Arc::new(fresh));
+            self.layout
+                .push_page(Arc::new(fresh), self.tuple_count, self.config.block_bytes);
         }
-        let tail = self.pages.last_mut().expect("page pushed above");
+        let tail = self.layout.open.last_mut().expect("page pushed above");
         Arc::make_mut(tail).push(tuple)?;
         self.tuple_count += 1;
         Ok(())
     }
 
     /// Re-open a finished table for further appends. The builder shares
-    /// the table's pages (a pointer copy each) and copies the tail page on
-    /// its first append, so the table itself stays immutable — this is how
+    /// the table's runs and its open block's pages (a pointer copy each)
+    /// and copies the tail page on its first append, so the table itself
+    /// stays immutable — this is how
     /// [`AppendableTable`](crate::AppendableTable) seeds its writer from the
     /// currently-registered snapshot.
     pub fn from_table(table: &Table) -> TableBuilder {
         TableBuilder {
             config: table.config.clone(),
-            pages: table.pages.clone(),
+            layout: table.layout.clone(),
             tuple_count: table.tuple_count,
             any_toast: table.any_toast,
         }
@@ -142,57 +247,56 @@ impl TableBuilder {
         self.config.block_bytes
     }
 
-    /// Plan block boundaries over the current pages without consuming the
-    /// builder: an immutable point-in-time [`Table`] under `table_id` that
-    /// shares the builder's pages. Appends continue underneath it — the
-    /// builder copies the shared tail page before writing to it, so the
-    /// snapshot never sees a later row.
+    /// An immutable point-in-time [`Table`] under `table_id` that shares
+    /// the builder's sealed runs and copies only the open block's page
+    /// pointers. Appends continue underneath it — the builder copies the
+    /// shared tail page before writing to it, and a shared run before
+    /// sealing a block into it, so the snapshot never sees a later row.
     pub fn snapshot(&self, table_id: u32) -> Table {
         let mut config = self.config.clone();
         config.table_id = table_id;
-        Table::plan(config, self.pages.clone(), self.tuple_count, self.any_toast)
+        Table::from_layout(
+            config,
+            self.layout.clone(),
+            self.tuple_count,
+            self.any_toast,
+        )
     }
 
-    /// Finish: plan block boundaries and seal the table.
+    /// Finish: seal the table.
     pub fn finish(self) -> Table {
-        Table::plan(self.config, self.pages, self.tuple_count, self.any_toast)
+        Table::from_layout(self.config, self.layout, self.tuple_count, self.any_toast)
     }
 }
 
 /// An immutable heap table.
 ///
-/// Its pages are shared (`Arc`) with every other version of the same table
-/// — earlier and later snapshots, a re-chunked copy, the writer's builder —
-/// so cloning a table copies one pointer per page, never page bytes.
+/// Its sealed blocks live in runs shared (`Arc`) with every other version
+/// of the same table — earlier and later snapshots and the writer's
+/// builder — so cloning a table copies one pointer per run plus the open
+/// block's page pointers, never page bytes.
 #[derive(Debug, Clone)]
 pub struct Table {
     config: TableConfig,
-    pages: Vec<Arc<Page>>,
-    blocks: Vec<BlockMeta>,
+    layout: Layout,
+    /// Metadata of the last block (`None` for an empty table).
+    open_block: Option<BlockMeta>,
     tuple_count: u64,
-    total_bytes: usize,
     any_toast: bool,
 }
 
 impl Table {
-    /// Seal `pages` into a table: plan its blocks against
-    /// `config.block_bytes`.
-    fn plan(
+    fn from_layout(
         config: TableConfig,
-        pages: Vec<Arc<Page>>,
+        layout: Layout,
         tuple_count: u64,
         any_toast: bool,
     ) -> Table {
-        let page_bytes: Vec<usize> = pages.iter().map(|p| p.disk_bytes()).collect();
-        let page_tuples: Vec<usize> = pages.iter().map(|p| p.tuple_count()).collect();
-        let blocks = plan_blocks(&page_bytes, &page_tuples, config.block_bytes);
-        let total_bytes = page_bytes.iter().sum();
         Table {
+            open_block: layout.open_meta(tuple_count),
             config,
-            pages,
-            blocks,
+            layout,
             tuple_count,
-            total_bytes,
             any_toast,
         }
     }
@@ -221,25 +325,24 @@ impl Table {
 
     /// Number of blocks (the paper's `N`).
     pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
+        self.layout.sealed_blocks + usize::from(self.open_block.is_some())
     }
 
     /// Number of pages.
     pub fn num_pages(&self) -> usize {
-        self.pages.len()
+        self.layout.sealed_pages + self.layout.open.len()
     }
 
     /// On-disk size in bytes.
     pub fn total_bytes(&self) -> usize {
-        self.total_bytes
+        self.layout.sealed_bytes + self.layout.open_bytes
     }
 
     /// Average tuples per block (the paper's `b`).
     pub fn tuples_per_block(&self) -> f64 {
-        if self.blocks.is_empty() {
-            0.0
-        } else {
-            self.tuple_count as f64 / self.blocks.len() as f64
+        match self.num_blocks() {
+            0 => 0.0,
+            n => self.tuple_count as f64 / n as f64,
         }
     }
 
@@ -250,15 +353,34 @@ impl Table {
 
     /// Block metadata.
     pub fn block(&self, id: BlockId) -> Result<&BlockMeta> {
-        self.blocks.get(id).ok_or(StorageError::BlockOutOfRange {
-            block: id,
-            blocks: self.blocks.len(),
-        })
+        Ok(self.block_pages(id)?.0)
+    }
+
+    /// Block metadata and the block's pages: one run lookup.
+    fn block_pages(&self, id: BlockId) -> Result<(&BlockMeta, &[Arc<Page>])> {
+        let layout = &self.layout;
+        if id < layout.sealed_blocks {
+            let run = &layout.runs[id / RUN_BLOCKS];
+            let meta = &run.blocks[id % RUN_BLOCKS];
+            let pages = meta.pages.start - run.first_page..meta.pages.end - run.first_page;
+            return Ok((meta, &run.pages[pages]));
+        }
+        match &self.open_block {
+            Some(meta) if id == meta.id => Ok((meta, &layout.open)),
+            _ => Err(StorageError::BlockOutOfRange {
+                block: id,
+                blocks: self.num_blocks(),
+            }),
+        }
     }
 
     /// All block metadata in table order.
-    pub fn blocks(&self) -> &[BlockMeta] {
-        &self.blocks
+    pub fn blocks(&self) -> impl Iterator<Item = &BlockMeta> {
+        self.layout
+            .runs
+            .iter()
+            .flat_map(|r| r.blocks.iter())
+            .chain(&self.open_block)
     }
 
     fn cache_key(&self, block: BlockId) -> u64 {
@@ -276,9 +398,9 @@ impl Table {
     /// Decode the tuples of a block without charging any device (used by
     /// in-memory tooling and tests).
     pub fn block_tuples(&self, id: BlockId) -> Result<Vec<Tuple>> {
-        let meta = self.block(id)?.clone();
+        let (meta, pages) = self.block_pages(id)?;
         let mut out = Vec::with_capacity(meta.tuple_count());
-        for p in &self.pages[meta.pages.clone()] {
+        for p in pages {
             out.extend(p.tuples());
         }
         Ok(out)
@@ -287,8 +409,7 @@ impl Table {
     /// Decode the tuples of a block into `out` (appending; no device
     /// charge). The columnar counterpart of [`Table::block_tuples`].
     pub fn decode_block_into(&self, id: BlockId, out: &mut TupleBatch) -> Result<()> {
-        let pages = self.block(id)?.pages.clone();
-        for p in &self.pages[pages] {
+        for p in self.block_pages(id)?.1 {
             p.decode_into(out)?;
         }
         Ok(())
@@ -413,27 +534,36 @@ impl Table {
         Ok(out)
     }
 
-    /// Locate the block and page holding tuple `tid`.
-    fn locate(&self, tid: TupleId) -> Result<(BlockId, usize)> {
+    /// Locate tuple `tid`: its block, its page and the position of the
+    /// page's first tuple.
+    fn locate(&self, tid: TupleId) -> Result<(BlockId, &Page, TupleId)> {
         if tid >= self.tuple_count {
             return Err(StorageError::Corrupt(format!(
                 "tuple {tid} out of range ({} tuples)",
                 self.tuple_count
             )));
         }
-        let block = self.blocks.partition_point(|b| b.tuples.end <= tid);
-        // Find the page within the block.
-        let meta = &self.blocks[block];
+        // Binary search for the first block whose range ends past `tid`.
+        let (mut lo, mut hi) = (0, self.num_blocks());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.block(mid)?.tuples.end <= tid {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let (meta, pages) = self.block_pages(lo)?;
         let mut first_on_page = meta.tuples.start;
-        for p in meta.pages.clone() {
-            let cnt = self.pages[p].tuple_count() as u64;
+        for p in pages {
+            let cnt = p.tuple_count() as u64;
             if tid < first_on_page + cnt {
-                return Ok((block, p));
+                return Ok((lo, p, first_on_page));
             }
             first_on_page += cnt;
         }
         Err(StorageError::Corrupt(format!(
-            "tuple {tid} not found in block {block}"
+            "tuple {tid} not found in block {lo}"
         )))
     }
 
@@ -441,30 +571,26 @@ impl Table {
     /// page transfer. The full-shuffle access pattern (map-style dataset on
     /// secondary storage).
     pub fn read_tuple_random(&self, tid: TupleId, dev: &mut SimDevice) -> Result<Tuple> {
-        let (block, page) = self.locate(tid)?;
+        let (block, page, first_on_page) = self.locate(tid)?;
         dev.read(
             Some(self.cache_key(block)),
-            self.pages[page].disk_bytes(),
+            page.disk_bytes(),
             Access::Random,
             self.toast_cap(),
         );
-        self.get_tuple(tid)
+        page.tuple((tid - first_on_page) as usize)
     }
 
     /// Decode a tuple by position without charging a device.
     pub fn get_tuple(&self, tid: TupleId) -> Result<Tuple> {
-        let (_, page) = self.locate(tid)?;
-        let first_on_page: u64 = self.pages[..page]
-            .iter()
-            .map(|p| p.tuple_count() as u64)
-            .sum();
-        self.pages[page].tuple((tid - first_on_page) as usize)
+        let (_, page, first_on_page) = self.locate(tid)?;
+        page.tuple((tid - first_on_page) as usize)
     }
 
     /// All tuples in table order, without device charges.
     pub fn all_tuples(&self) -> Vec<Tuple> {
         let mut out = Vec::with_capacity(self.tuple_count as usize);
-        for p in &self.pages {
+        for p in self.layout.pages() {
             out.extend(p.tuples());
         }
         out
@@ -477,9 +603,15 @@ impl Table {
         let mut config = self.config.clone();
         config.block_bytes = block_bytes;
         config.validate()?;
-        Ok(Table::plan(
+        let mut layout = Layout::default();
+        let mut tuples = 0;
+        for p in self.layout.pages() {
+            layout.push_page(p.clone(), tuples, block_bytes);
+            tuples += p.tuple_count() as u64;
+        }
+        Ok(Table::from_layout(
             config,
-            self.pages.clone(),
+            layout,
             self.tuple_count,
             self.any_toast,
         ))
@@ -510,8 +642,8 @@ impl Table {
         );
         // Two passes of read+write at sequential bandwidth.
         for _pass in 0..2 {
-            dev.read(None, self.total_bytes, Access::Random, self.toast_cap());
-            dev.write(self.total_bytes, Access::Sequential);
+            dev.read(None, self.total_bytes(), Access::Random, self.toast_cap());
+            dev.write(self.total_bytes(), Access::Sequential);
         }
         let mut cfg = self.config.clone();
         cfg.name = new_name.into();
@@ -560,6 +692,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::plan_blocks;
     use proptest::prelude::*;
 
     fn make_table(n: u64, width: usize, block_bytes: usize) -> Table {
@@ -704,6 +837,11 @@ mod tests {
         assert_eq!(finer.num_tuples(), 500);
         assert_eq!(finer.all_tuples(), t.all_tuples());
         assert!(t.rechunk(0).is_err());
+        let pages: Vec<&Arc<Page>> = t.layout.pages().collect();
+        let page_bytes: Vec<usize> = pages.iter().map(|p| p.disk_bytes()).collect();
+        let page_tuples: Vec<usize> = pages.iter().map(|p| p.tuple_count()).collect();
+        let planned = plan_blocks(&page_bytes, &page_tuples, PAGE_SIZE);
+        assert_eq!(finer.blocks().cloned().collect::<Vec<_>>(), planned);
         // Tuple ranges still partition.
         let mut next = 0u64;
         for b in finer.blocks() {
@@ -791,16 +929,46 @@ mod tests {
         assert_eq!(a.stats(), b.stats());
     }
 
+    #[test]
+    fn full_runs_are_shared_and_a_snapshot_copies_only_the_open_block() {
+        fn fill_to(b: &mut TableBuilder, sealed_blocks: usize) {
+            while b.layout.sealed_blocks < sealed_blocks {
+                let id = b.tuple_count();
+                b.append(&Tuple::dense(id, vec![1.0; 32], 1.0)).unwrap();
+            }
+        }
+        let cfg = TableConfig::new("t", 1).with_block_bytes(PAGE_SIZE);
+        let mut b = TableBuilder::new(cfg).unwrap();
+        fill_to(&mut b, RUN_BLOCKS + 3);
+        let first = b.snapshot(2);
+        fill_to(&mut b, RUN_BLOCKS + 5);
+        let second = b.snapshot(3);
+        let (was, now) = (&first.layout.runs, &second.layout.runs);
+        assert_eq!((was.len(), now.len()), (2, 2));
+        assert!(Arc::ptr_eq(&was[0], &now[0]), "a full run is shared");
+        assert!(
+            !Arc::ptr_eq(&was[1], &now[1]),
+            "a shared partial run is copied on seal"
+        );
+        assert_eq!(was[1].blocks.len(), 3, "the published run is untouched");
+        assert_eq!(now[1].blocks.len(), 5);
+        let open = second.block(second.num_blocks() - 1).unwrap();
+        assert_eq!(second.layout.open.len(), open.page_count());
+        assert_eq!(first.num_blocks(), RUN_BLOCKS + 4);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Snapshots taken between random-sized appends (mid-page, across
         /// block seals, around a jumbo tuple) stay exactly what they were
-        /// when taken, and consecutive snapshots share their sealed pages
-        /// rather than copying them.
+        /// when taken. Consecutive snapshots share their sealed runs and
+        /// pages rather than copying them, a snapshot copies no page
+        /// pointers beyond its open block's, and the block plan equals a
+        /// from-scratch `plan_blocks` over the same pages.
         #[test]
         fn prop_snapshots_are_isolated_and_share_sealed_pages(
-            ops in proptest::collection::vec((0usize..120, any::<bool>(), any::<bool>()), 1..16)
+            ops in proptest::collection::vec((0usize..300, any::<bool>(), any::<bool>()), 1..16)
         ) {
             let cfg = TableConfig::new("t", 1).with_block_bytes(2 * PAGE_SIZE);
             let mut b = TableBuilder::new(cfg.clone()).unwrap();
@@ -809,7 +977,7 @@ mod tests {
             for (i, &(batch, jumbo, snap)) in ops.iter().enumerate() {
                 for k in 0..batch {
                     let id = appended.len() as u64;
-                    let width = if jumbo && k == batch / 2 { 4096 } else { 6 };
+                    let width = if jumbo && k == batch / 2 { 4096 } else { 120 };
                     let t = Tuple::dense(id, vec![id as f32; width], 1.0);
                     b.append(&t).unwrap();
                     appended.push(t);
@@ -819,9 +987,19 @@ mod tests {
                 }
                 let next = b.snapshot(i as u32 + 2);
                 prop_assert_eq!(next.config().table_id, i as u32 + 2);
+                let open_pages = next.open_block.as_ref().map_or(0, |m| m.page_count());
+                prop_assert_eq!(next.layout.open.len(), open_pages);
                 if let Some(prev) = snaps.last() {
-                    let sealed = prev.pages.len().saturating_sub(1);
-                    for (p, q) in prev.pages[..sealed].iter().zip(&next.pages) {
+                    let (was, now) = (&prev.layout, &next.layout);
+                    for (p, q) in was.runs.iter().zip(&now.runs) {
+                        // A full run never changes again; a partial one only
+                        // when a block is sealed into it.
+                        if p.blocks.len() == RUN_BLOCKS || was.sealed_blocks == now.sealed_blocks {
+                            prop_assert!(Arc::ptr_eq(p, q), "sealed run copied by a publish");
+                        }
+                    }
+                    let sealed = prev.num_pages().saturating_sub(1);
+                    for (p, q) in was.pages().take(sealed).zip(now.pages()) {
                         prop_assert!(Arc::ptr_eq(p, q), "sealed page copied by a publish");
                     }
                 }
@@ -833,7 +1011,15 @@ mod tests {
                 prop_assert_eq!(snap.all_tuples(), appended[..n].to_vec());
                 prop_assert_eq!(snap.num_blocks(), fresh.num_blocks());
                 prop_assert_eq!(snap.total_bytes(), fresh.total_bytes());
-                prop_assert_eq!(snap.blocks(), fresh.blocks());
+                let blocks: Vec<&BlockMeta> = snap.blocks().collect();
+                prop_assert_eq!(&blocks, &fresh.blocks().collect::<Vec<_>>());
+                let page_bytes: Vec<usize> = snap.layout.pages().map(|p| p.disk_bytes()).collect();
+                let page_tuples: Vec<usize> = snap.layout.pages().map(|p| p.tuple_count()).collect();
+                let planned = plan_blocks(&page_bytes, &page_tuples, cfg.block_bytes);
+                prop_assert_eq!(blocks, planned.iter().collect::<Vec<_>>());
+                for (id, meta) in planned.iter().enumerate() {
+                    prop_assert_eq!(snap.block(id).unwrap(), meta);
+                }
             }
         }
     }

@@ -18,6 +18,15 @@ cargo test --workspace -q
 banner "Test (benchmark harness: BENCHMARK.json and manifest.json agree)"
 cargo test --manifest-path perfbench/Cargo.toml --offline -q
 
+banner "Repo benchmark smoke (each workload once; exit 1 on a failed statement or check)"
+# Catches an engine change that breaks the benchmark's correctness checks
+# or its use of the engine API. Records go to the gitignored perfbench/out/.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+for workload in train_clustered predict_serve ingest_continuous; do
+  cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1
+done
+
 banner "Format check"
 cargo fmt --check
 
