@@ -11,6 +11,7 @@
 use crate::error::DbError;
 use crate::sql::ParamValue;
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 
 /// Value type of an option, used for documentation and EXPLAIN rendering.
 /// Range/shape validation stays with the typed accessors on
@@ -290,47 +291,37 @@ impl<'a> QueryOptions<'a> {
 
     /// 0/1 switch.
     pub fn flag(&self, key: &str, default: bool) -> Result<bool, DbError> {
-        match self.params.get(key) {
-            None => Ok(default),
-            Some(v) => match v.as_usize() {
-                Some(0) => Ok(false),
-                Some(1) => Ok(true),
-                _ => Err(DbError::BadParam(format!("{key} must be 0 or 1"))),
-            },
-        }
+        let flag = |v: &ParamValue| match v.as_usize() {
+            Some(0) => Some(false),
+            Some(1) => Some(true),
+            _ => None,
+        };
+        Ok(self.get(key, flag, "0 or 1")?.unwrap_or(default))
     }
 
     /// Non-negative integer.
     pub fn nonneg_int(&self, key: &str, default: usize) -> Result<usize, DbError> {
-        match self.params.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .as_usize()
-                .ok_or_else(|| DbError::BadParam(format!("{key} must be a non-negative integer"))),
-        }
+        Ok(self.opt_nonneg_int(key)?.unwrap_or(default))
+    }
+
+    /// Non-negative integer that is unset by default.
+    pub(crate) fn opt_nonneg_int(&self, key: &str) -> Result<Option<usize>, DbError> {
+        self.get(key, ParamValue::as_usize, "a non-negative integer")
     }
 
     /// Strictly positive integer.
     pub fn positive_int(&self, key: &str, default: usize) -> Result<usize, DbError> {
-        match self.params.get(key) {
-            None => Ok(default),
-            Some(v) => match v.as_usize() {
-                Some(n) if n > 0 => Ok(n),
-                _ => Err(DbError::BadParam(format!(
-                    "{key} must be a positive integer"
-                ))),
-            },
-        }
+        let positive = |v: &ParamValue| v.as_usize().filter(|n| *n > 0);
+        Ok(self
+            .get(key, positive, "a positive integer")?
+            .unwrap_or(default))
     }
 
     /// Any numeric value.
     pub fn float(&self, key: &str, default: f64) -> Result<f64, DbError> {
-        match self.params.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .as_f64()
-                .ok_or_else(|| DbError::BadParam(format!("{key} must be numeric"))),
-        }
+        Ok(self
+            .get(key, ParamValue::as_f64, "numeric")?
+            .unwrap_or(default))
     }
 
     /// Numeric value in `(0, 1]` — buffer and I/O-budget fractions.
@@ -341,6 +332,51 @@ impl<'a> QueryOptions<'a> {
         } else {
             Err(DbError::BadParam(format!("{key} must be in (0, 1]")))
         }
+    }
+
+    /// Byte size (`64KB`, `1MB` or plain bytes) that is unset by default.
+    pub(crate) fn byte_size(&self, key: &str) -> Result<Option<usize>, DbError> {
+        self.get(key, ParamValue::as_usize, "a byte size")
+    }
+
+    /// File path that is unset by default.
+    pub(crate) fn path(&self, key: &str) -> Result<Option<PathBuf>, DbError> {
+        self.get(key, |v| v.as_text().map(PathBuf::from), "a path string")
+    }
+
+    /// One of a fixed set of words.
+    pub(crate) fn choice(
+        &self,
+        key: &str,
+        choices: &[&'static str],
+        default: &'static str,
+    ) -> Result<&'static str, DbError> {
+        let Some(v) = self.params.get(key) else {
+            return Ok(default);
+        };
+        let text = v.as_text();
+        choices
+            .iter()
+            .copied()
+            .find(|c| Some(*c) == text)
+            .ok_or_else(|| {
+                let quoted: Vec<String> = choices.iter().map(|c| format!("'{c}'")).collect();
+                DbError::BadParam(format!("{key} must be {}", quoted.join(" or ")))
+            })
+    }
+
+    /// `None` when unset, else the converted value or the error
+    /// "`<key>` must be `<what>`".
+    fn get<T>(
+        &self,
+        key: &str,
+        convert: impl Fn(&ParamValue) -> Option<T>,
+        what: &str,
+    ) -> Result<Option<T>, DbError> {
+        self.params
+            .get(key)
+            .map(|v| convert(v).ok_or_else(|| DbError::BadParam(format!("{key} must be {what}"))))
+            .transpose()
     }
 
     /// Text value, if present.

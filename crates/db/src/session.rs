@@ -28,16 +28,19 @@ use crate::error::DbError;
 use crate::exec::{
     DbEpochRecord, EvalView, ExecContext, FaultAction, OpStats, PredictOperator, SgdOperator,
 };
-use crate::options::{QueryOptions, Statement};
+use crate::model_store::{ModelStore, ModelStoreStats};
+use crate::options::{effective_line, QueryOptions, Statement};
 use crate::plan::{build_physical_with, BuildOptions, LogicalPlan, PredictPlanSpec, TrainPlanSpec};
 use crate::serving::ServableModel;
 use crate::sql::{parse, ParamValue, Predicate, Projection, Query, ShowTarget, StrategyKind};
 use corgipile_ml::{accuracy, build_model, ModelKind, OptimizerKind, TrainOptions};
 use corgipile_ml::{r_squared, ComputeCostModel, TrainCheckpoint};
-use corgipile_shuffle::{block_variance_sampled, recluster_table, CostModel, StrategyParams};
+use corgipile_shuffle::{
+    block_variance_sampled, recluster_table, CostEstimate, CostModel, StrategyParams,
+};
 use corgipile_storage::{
-    BufferPool, DeviceHandle, FaultPlan, PoolHandle, RetryPolicy, SimDevice, Table, Telemetry,
-    Tuple,
+    BufferPool, DeviceHandle, FaultPlan, PoolHandle, RetryPolicy, SimDevice, Table, TableSnapshot,
+    Telemetry, Tuple,
 };
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -126,6 +129,231 @@ impl Default for ServeOptions {
             fuse: true,
             shared_scan: false,
         }
+    }
+}
+
+impl ServeOptions {
+    /// The `WITH` clause of `PREDICT … ON`, validated against the option
+    /// registry (shared by PREDICT and its EXPLAIN).
+    fn parse(
+        version: Option<u32>,
+        filter: Option<Predicate>,
+        params: &BTreeMap<String, ParamValue>,
+    ) -> Result<Self, DbError> {
+        let defaults = ServeOptions::default();
+        let q = QueryOptions::parse(Statement::Predict, params)?;
+        Ok(ServeOptions {
+            version,
+            filter,
+            batch_rows: q.positive_int("batch_rows", defaults.batch_rows)?,
+            fuse: q.flag("fuse", defaults.fuse)?,
+            shared_scan: q.flag("shared_scan", defaults.shared_scan)?,
+        })
+    }
+}
+
+/// The pushed-down logical plan of a `PREDICT … ON` statement.
+fn predict_plan(
+    table_name: &str,
+    model: &str,
+    opts: &ServeOptions,
+    table: &Table,
+) -> Result<LogicalPlan, DbError> {
+    let spec = PredictPlanSpec {
+        table: table_name.to_string(),
+        model: model.to_string(),
+        version: opts.version,
+        filter: opts.filter.clone(),
+        batch_rows: opts.batch_rows,
+    };
+    Ok(LogicalPlan::build_predict(&spec, table)?.push_down())
+}
+
+/// A `TRAIN BY` statement, parsed and validated once. TRAIN, TRAIN …
+/// CONTINUOUS, EXPLAIN and EXPLAIN ANALYZE all start from it, so they
+/// accept and reject exactly the same statements.
+struct TrainSpec {
+    table: String,
+    /// Model kind as written (`svm`, `lr`, …), resolved against the table.
+    model: String,
+    projection: Projection,
+    filter: Option<Predicate>,
+    strategy: Option<StrategyKind>,
+    continuous: bool,
+    /// The `WITH` clause as written, for EXPLAIN's `Options:` line.
+    params: BTreeMap<String, ParamValue>,
+    epochs: usize,
+    /// Epochs per snapshot pin; `max_epoch_num` (one chunk) unless
+    /// CONTINUOUS sets it.
+    refresh: usize,
+    optimizer: OptimizerKind,
+    options: TrainOptions,
+    /// Buffer fraction, I/O budget and seed as written or defaulted.
+    sparams: StrategyParams,
+    /// An explicit `buffer_fraction` overrides the planner's pick.
+    buffer_fraction_set: bool,
+    double_buffer: bool,
+    shared_buffers: usize,
+    report_metrics: bool,
+    planner: bool,
+    max_retries: u32,
+    on_fault: FaultAction,
+    pushdown: bool,
+    fuse: bool,
+    model_name: Option<String>,
+    // Plain TRAIN only: CONTINUOUS owns the snapshot and checkpoint chain.
+    checkpoint: Option<PathBuf>,
+    resume: bool,
+    halt_after_epoch: Option<usize>,
+    durable: bool,
+    block_size: Option<usize>,
+}
+
+impl TrainSpec {
+    /// Validate a `Query::Train` against the option registry.
+    fn parse(query: Query) -> Result<TrainSpec, DbError> {
+        let Query::Train {
+            table,
+            model,
+            projection,
+            filter,
+            strategy,
+            continuous,
+            params,
+        } = query
+        else {
+            unreachable!("TrainSpec::parse takes a TRAIN query")
+        };
+        let opts = QueryOptions::parse(Statement::Train, &params)?;
+        if continuous {
+            let plain_only = [
+                "durable",
+                "resume",
+                "checkpoint",
+                "halt_after_epoch",
+                "block_size",
+            ];
+            if let Some(knob) = plain_only.into_iter().find(|k| opts.is_set(k)) {
+                return Err(DbError::BadParam(format!(
+                    "{knob} is not supported with TRAIN … CONTINUOUS"
+                )));
+            }
+        } else if opts.is_set("refresh") {
+            return Err(DbError::BadParam(
+                "refresh requires TRAIN … CONTINUOUS".into(),
+            ));
+        }
+        let optimizer = OptimizerKind::Sgd {
+            lr0: opts.float("learning_rate", 0.1)? as f32,
+            decay: opts.float("decay", 0.95)? as f32,
+        };
+        let epochs = opts.nonneg_int("max_epoch_num", 10)?;
+        let refresh = opts.positive_int("refresh", epochs.max(1))?;
+        let buffer_fraction = opts.fraction("buffer_fraction", 0.10)?;
+        let io_budget = opts.fraction("io_budget", StrategyParams::default().io_budget)?;
+        let batch_size = opts.nonneg_int("batch_size", 1)?.max(1);
+        let seed = opts.nonneg_int("seed", 42)? as u64;
+        let double_buffer = opts.flag("double_buffer", true)?;
+        let l2 = opts.float("l2", 0.0)? as f32;
+        if l2 < 0.0 {
+            return Err(DbError::BadParam("l2 must be non-negative".into()));
+        }
+        let shared_buffers = opts.nonneg_int("shared_buffers", 0)?;
+        let report_metrics = opts.flag("report_metrics", false)?;
+        let planner = opts.flag("planner", true)?;
+        let max_retries = opts.nonneg_int("max_retries", 4)? as u32;
+        let on_fault = match opts.choice("on_fault", &["fail", "skip"], "fail")? {
+            "skip" => FaultAction::SkipBlock,
+            _ => FaultAction::Fail,
+        };
+        let checkpoint = opts.path("checkpoint")?;
+        let resume = opts.flag("resume", false)?;
+        if resume && checkpoint.is_none() {
+            return Err(DbError::BadParam(
+                "resume = 1 requires checkpoint = '<path>'".into(),
+            ));
+        }
+        let halt_after_epoch = opts.opt_nonneg_int("halt_after_epoch")?;
+        let durable = opts.flag("durable", false)?;
+        let pushdown = opts.flag("pushdown", true)?;
+        let fuse = opts.flag("fuse", true)?;
+        let block_size = opts.byte_size("block_size")?;
+        let model_name = opts.text("model_name").map(str::to_string);
+        let buffer_fraction_set = opts.is_set("buffer_fraction");
+        Ok(TrainSpec {
+            table,
+            model,
+            projection,
+            filter,
+            strategy,
+            continuous,
+            params,
+            epochs,
+            refresh,
+            optimizer,
+            options: TrainOptions {
+                batch_size,
+                clip_norm: 0.0,
+                l2,
+            },
+            sparams: StrategyParams::default()
+                .with_buffer_fraction(buffer_fraction)
+                .with_seed(seed)
+                .with_io_budget(io_budget),
+            buffer_fraction_set,
+            double_buffer,
+            shared_buffers,
+            report_metrics,
+            planner,
+            max_retries,
+            on_fault,
+            pushdown,
+            fuse,
+            model_name,
+            checkpoint,
+            resume,
+            halt_after_epoch,
+            durable,
+            block_size,
+        })
+    }
+}
+
+/// What a TRAIN statement runs, decided once on its first pinned table
+/// ([`Session::plan_train`]).
+struct TrainPlan {
+    /// The first pin's table, re-chunked when `block_size` is set.
+    table: Arc<Table>,
+    kind: ModelKind,
+    strategy: StrategyKind,
+    /// The spec's parameters with the planner's buffer fraction applied.
+    sparams: StrategyParams,
+    /// The cost model's estimate when it chose the strategy (EXPLAIN's
+    /// `Planner:` line).
+    pick: Option<CostEstimate>,
+}
+
+impl TrainPlan {
+    /// The logical plan over one pinned table (validates columns against
+    /// it), pushed down unless `pushdown = 0`.
+    fn logical(&self, spec: &TrainSpec, table: &Table) -> Result<LogicalPlan, DbError> {
+        let plan = LogicalPlan::build(
+            &TrainPlanSpec {
+                table: spec.table.clone(),
+                model: self.kind.name().to_string(),
+                epochs: spec.epochs,
+                strategy: self.strategy,
+                projection: spec.projection.clone(),
+                filter: spec.filter.clone(),
+                buffer_blocks: self.sparams.buffer_blocks(table),
+            },
+            table,
+        )?;
+        Ok(if spec.pushdown {
+            plan.push_down()
+        } else {
+            plan
+        })
     }
 }
 
@@ -360,17 +588,10 @@ impl Session {
 
     fn run(&mut self, query: Query) -> Result<QueryResult, DbError> {
         match query {
-            Query::Train {
-                table,
-                model,
-                projection,
-                filter,
-                strategy,
-                continuous,
-                params,
-            } => self.train(
-                &table, &model, projection, filter, strategy, continuous, params,
-            ),
+            q @ Query::Train { .. } => {
+                let (spec, snapshot) = self.prepare_train(q)?;
+                Ok(QueryResult::Train(self.train(spec, snapshot)?))
+            }
             Query::Insert { table, rows } => self.insert(&table, rows),
             Query::Predict { table, model } => self.predict(&table, &model),
             Query::PredictServe {
@@ -380,15 +601,7 @@ impl Session {
                 filter,
                 params,
             } => {
-                let defaults = ServeOptions::default();
-                let q = QueryOptions::parse(Statement::Predict, &params)?;
-                let opts = ServeOptions {
-                    version,
-                    filter,
-                    batch_rows: q.positive_int("batch_rows", defaults.batch_rows)?,
-                    fuse: q.flag("fuse", defaults.fuse)?,
-                    shared_scan: q.flag("shared_scan", defaults.shared_scan)?,
-                };
+                let opts = ServeOptions::parse(version, filter, &params)?;
                 Ok(QueryResult::Serve(
                     self.predict_batch(&table, &model, opts)?,
                 ))
@@ -518,26 +731,14 @@ impl Session {
     fn explain_analyze(&mut self, query: Query) -> Result<QueryResult, DbError> {
         match query {
             q @ Query::Train { .. } => {
-                let durable = match &q {
-                    Query::Train { params, .. } => {
-                        params
-                            .get("durable")
-                            .and_then(|v| v.as_usize())
-                            .unwrap_or(0)
-                            != 0
-                    }
-                    _ => false,
-                };
-                let wal_before = if durable {
+                let (spec, snapshot) = self.prepare_train(q)?;
+                let wal_before = if spec.durable {
                     self.db.model_store().map(|s| s.stats())
                 } else {
                     None
                 };
                 let before = self.dev.stats().clone();
-                let summary = match self.run(q)? {
-                    QueryResult::Train(t) => t,
-                    _ => unreachable!("Train queries return Train results"),
-                };
+                let summary = self.train(spec, snapshot)?;
                 let after = self.dev.stats().clone();
                 let mut lines: Vec<String> = summary
                     .op_stats
@@ -617,89 +818,34 @@ impl Session {
     /// predicates fail here with the same structured [`DbError`].
     fn explain(&mut self, query: Query) -> Result<QueryResult, DbError> {
         match query {
-            Query::Train {
-                table,
-                model,
-                projection,
-                filter,
-                strategy,
-                continuous,
-                params,
-            } => {
-                let snap = self.catalog().snapshot(&table)?;
-                let t = snap.table();
-                let kind = self.resolve_model_kind(&model, t)?;
-                let opts = QueryOptions::parse(Statement::Train, &params)?;
-                let epochs = opts.nonneg_int("max_epoch_num", 10)?;
-                let refresh = opts.positive_int("refresh", epochs.max(1))?;
-                if opts.is_set("refresh") && !continuous {
-                    return Err(DbError::BadParam(
-                        "refresh requires TRAIN … CONTINUOUS".into(),
-                    ));
-                }
-                let buffer_fraction = opts.fraction("buffer_fraction", 0.10)?;
-                let io_budget = opts.fraction("io_budget", StrategyParams::default().io_budget)?;
-                let seed = opts.nonneg_int("seed", 42)? as u64;
-                let pushdown = opts.flag("pushdown", true)?;
-                let fuse = opts.flag("fuse", true)?;
-                let planner = opts.flag("planner", true)?;
-                let mut sparams = StrategyParams::default()
-                    .with_buffer_fraction(buffer_fraction)
-                    .with_seed(seed)
-                    .with_io_budget(io_budget);
-                // Resolve the strategy exactly as `train` would, and render
-                // the planner's evidence when the choice was cost-based.
-                let mut planner_line = None;
-                let strategy = match strategy {
-                    Some(kind) => kind,
-                    None if !planner => StrategyKind::CorgiPile,
-                    None => {
-                        let hd = self.block_variance(&table, t, seed, true);
-                        let profile = self.dev.profile();
-                        let pick = CostModel::new(epochs).choose(t, &profile, &sparams, hd);
-                        if !opts.is_set("buffer_fraction") {
-                            sparams = sparams.with_buffer_fraction(pick.buffer_fraction);
-                        }
-                        planner_line = Some(format!(
-                            "Planner: strategy={} h_d={:.3} buffer_fraction={:.2} \
-                             predicted_epoch_io={:.6}s setup_io={:.6}s",
-                            pick.kind.name(),
-                            pick.hd,
-                            pick.buffer_fraction,
-                            pick.predicted_epoch_io,
-                            pick.predicted_setup_io,
-                        ));
-                        pick.kind
-                    }
-                };
-                let spec = TrainPlanSpec {
-                    table,
-                    model: kind.name().to_string(),
-                    epochs,
-                    strategy,
-                    projection,
-                    filter,
-                    buffer_blocks: sparams.buffer_blocks(t),
-                };
-                let mut plan = LogicalPlan::build(&spec, t)?;
-                if pushdown {
-                    plan = plan.push_down();
-                }
-                let mut lines = if fuse {
-                    plan.explain_lines_fused()
+            q @ Query::Train { .. } => {
+                let (spec, snapshot) = self.prepare_train(q)?;
+                let version = snapshot.version();
+                let plan = self.plan_train(&spec, snapshot.into_table())?;
+                let logical = plan.logical(&spec, &plan.table)?;
+                let mut lines = if spec.fuse {
+                    logical.explain_lines_fused()
                 } else {
-                    plan.explain_lines()
+                    logical.explain_lines()
                 };
-                lines.push(format!("Snapshot: version={}", snap.version()));
-                if continuous {
+                lines.push(format!("Snapshot: version={version}"));
+                if spec.continuous {
                     lines.push(format!(
-                        "Continuous: refresh={refresh} (re-pin latest snapshot every \
-                         {refresh} epochs)"
+                        "Continuous: refresh={0} (re-pin latest snapshot every {0} epochs)",
+                        spec.refresh
                     ));
                 }
-                lines.push(opts.line());
-                if let Some(line) = planner_line {
-                    lines.push(line);
+                lines.push(effective_line(Statement::Train, &spec.params));
+                if let Some(pick) = &plan.pick {
+                    lines.push(format!(
+                        "Planner: strategy={} h_d={:.3} buffer_fraction={:.2} \
+                         predicted_epoch_io={:.6}s setup_io={:.6}s",
+                        pick.kind.name(),
+                        pick.hd,
+                        pick.buffer_fraction,
+                        pick.predicted_epoch_io,
+                        pick.predicted_setup_io,
+                    ));
                 }
                 Ok(QueryResult::Plan(lines))
             }
@@ -725,24 +871,11 @@ impl Session {
                 filter,
                 params,
             } => {
+                let opts = ServeOptions::parse(version, filter, &params)?;
                 let t = self.catalog().table(&table)?;
                 self.servable_exists(&model, version)?;
-                let batch_rows = match params.get("batch_rows") {
-                    None => ServeOptions::default().batch_rows,
-                    Some(v) => v.as_usize().filter(|n| *n > 0).ok_or_else(|| {
-                        DbError::BadParam("batch_rows must be a positive integer".into())
-                    })?,
-                };
-                let spec = PredictPlanSpec {
-                    table,
-                    model,
-                    version,
-                    filter,
-                    batch_rows,
-                };
-                let fuse = params.get("fuse").and_then(|v| v.as_usize()).unwrap_or(1) != 0;
-                let plan = LogicalPlan::build_predict(&spec, &t)?.push_down();
-                Ok(QueryResult::Plan(if fuse {
+                let plan = predict_plan(&table, &model, &opts, &t)?;
+                Ok(QueryResult::Plan(if opts.fuse {
                     plan.explain_lines_fused()
                 } else {
                     plan.explain_lines()
@@ -752,314 +885,259 @@ impl Session {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Validate a TRAIN statement into its [`TrainSpec`] and pin the
+    /// snapshot its first chunk reads. The order decides which error a
+    /// statement with several faults reports: plain TRAIN pins first and
+    /// reports an unknown table, CONTINUOUS validates first and reports a
+    /// bad option.
+    fn prepare_train(&self, query: Query) -> Result<(TrainSpec, TableSnapshot), DbError> {
+        let Query::Train {
+            table, continuous, ..
+        } = &query
+        else {
+            unreachable!("prepare_train takes a TRAIN query")
+        };
+        if *continuous {
+            let spec = TrainSpec::parse(query)?;
+            let snapshot = self.catalog().snapshot(&spec.table)?;
+            Ok((spec, snapshot))
+        } else {
+            let snapshot = self.catalog().snapshot(table)?;
+            Ok((TrainSpec::parse(query)?, snapshot))
+        }
+    }
+
+    /// Decide what a TRAIN statement runs over its first pinned table:
+    /// the `block_size` re-chunk, the model kind, and the strategy and
+    /// buffer fraction. A query that names a strategy gets exactly that
+    /// strategy; `planner = 0` pins the historical default (plain
+    /// CorgiPile), the A/B oracle for the chooser. Otherwise the cost model
+    /// combines the (cached) block-variance estimate ĥ_D with the device
+    /// profile and picks both the strategy and its buffer fraction; an
+    /// explicit `buffer_fraction` stays authoritative.
+    fn plan_train(&self, spec: &TrainSpec, table: Arc<Table>) -> Result<TrainPlan, DbError> {
+        let table = match spec.block_size {
+            Some(bytes) => Arc::new(table.rechunk(bytes)?),
+            None => table,
+        };
+        let kind = self.resolve_model_kind(&spec.model, &table)?;
+        let mut sparams = spec.sparams.clone();
+        let mut pick = None;
+        let strategy = match spec.strategy {
+            Some(kind) => kind,
+            None if !spec.planner => StrategyKind::CorgiPile,
+            None => {
+                let cacheable = spec.block_size.is_none();
+                let hd = self.block_variance(&spec.table, &table, spec.sparams.seed, cacheable);
+                let profile = self.dev.profile();
+                let p = CostModel::new(spec.epochs).choose(&table, &profile, &sparams, hd);
+                if !spec.buffer_fraction_set {
+                    sparams = sparams.with_buffer_fraction(p.buffer_fraction);
+                }
+                pick.insert(p).kind
+            }
+        };
+        Ok(TrainPlan {
+            table,
+            kind,
+            strategy,
+            sparams,
+            pick,
+        })
+    }
+
+    /// Run a TRAIN statement: chunked training over the snapshot chain.
+    ///
+    /// The run splits its `max_epoch_num` epochs into chunks of `refresh`
+    /// epochs; plain TRAIN is the one-chunk case. Each later chunk pins the
+    /// *latest* snapshot at its start, rebuilds the physical plan over it,
+    /// and resumes the model from the previous chunk's checkpoint — the
+    /// same epoch-replay resume the durable store uses — so every
+    /// individual scan is bit-reproducible on its pinned version while
+    /// appended data is picked up at epoch granularity. Over a table that
+    /// never changes, every chunking trains the model plain TRAIN trains,
+    /// bit for bit.
+    ///
+    /// The strategy (and the planner's buffer fraction) is resolved once,
+    /// on the first pinned snapshot, and held for the whole run: a
+    /// drifting table must not flip the access path mid-model.
     fn train(
         &mut self,
-        table_name: &str,
-        model_name_raw: &str,
-        projection: Projection,
-        filter: Option<Predicate>,
-        strategy: Option<StrategyKind>,
-        continuous: bool,
-        params: BTreeMap<String, ParamValue>,
-    ) -> Result<QueryResult, DbError> {
-        if continuous {
-            return self.train_continuous(
-                table_name,
-                model_name_raw,
-                projection,
-                filter,
-                strategy,
-                params,
-            );
-        }
-        // Pin the snapshot before anything else: every block this query
-        // reads comes from exactly this version, no matter what concurrent
-        // INSERTs publish while it runs.
-        let snapshot = self.catalog().snapshot(table_name)?;
-        let snapshot_version = snapshot.version();
-        let mut table = snapshot.into_table();
-
-        // --- Parameters (validated against the typed option registry) ---
-        let opts = QueryOptions::parse(Statement::Train, &params)?;
-        if opts.is_set("refresh") {
-            return Err(DbError::BadParam(
-                "refresh requires TRAIN … CONTINUOUS".into(),
-            ));
-        }
-        let learning_rate = opts.float("learning_rate", 0.1)? as f32;
-        let decay = opts.float("decay", 0.95)? as f32;
-        let epochs = opts.nonneg_int("max_epoch_num", 10)?;
-        let buffer_fraction = opts.fraction("buffer_fraction", 0.10)?;
-        let io_budget = opts.fraction("io_budget", StrategyParams::default().io_budget)?;
-        let batch_size = opts.nonneg_int("batch_size", 1)?.max(1);
-        let seed = opts.nonneg_int("seed", 42)? as u64;
-        let double_buffer = opts.flag("double_buffer", true)?;
-        let l2 = opts.float("l2", 0.0)? as f32;
-        if l2 < 0.0 {
-            return Err(DbError::BadParam("l2 must be non-negative".into()));
-        }
-        let shared_buffers = opts.nonneg_int("shared_buffers", 0)?;
-        let report_metrics = opts.flag("report_metrics", false)?;
-        let planner = opts.flag("planner", true)?;
-        let max_retries = opts.nonneg_int("max_retries", 4)? as u32;
-        let on_fault = match params.get("on_fault") {
-            None => FaultAction::Fail,
-            Some(v) => match v.as_text() {
-                Some("fail") => FaultAction::Fail,
-                Some("skip") => FaultAction::SkipBlock,
-                _ => {
-                    return Err(DbError::BadParam(
-                        "on_fault must be 'fail' or 'skip'".into(),
-                    ))
-                }
-            },
-        };
-        let checkpoint_path = match params.get("checkpoint") {
-            None => None,
-            Some(v) => Some(PathBuf::from(v.as_text().ok_or_else(|| {
-                DbError::BadParam("checkpoint must be a path string".into())
-            })?)),
-        };
-        let resume = opts.flag("resume", false)?;
-        if resume && checkpoint_path.is_none() {
-            return Err(DbError::BadParam(
-                "resume = 1 requires checkpoint = '<path>'".into(),
-            ));
-        }
-        let halt_after_epoch = match params.get("halt_after_epoch") {
-            None => None,
-            Some(v) => Some(v.as_usize().ok_or_else(|| {
-                DbError::BadParam("halt_after_epoch must be a non-negative integer".into())
-            })?),
-        };
-        let durable = opts.flag("durable", false)?;
-        let pushdown = opts.flag("pushdown", true)?;
-        let fuse = opts.flag("fuse", true)?;
-        let rechunked = params.contains_key("block_size");
-        if let Some(bs) = params.get("block_size") {
-            let bytes = bs
-                .as_usize()
-                .ok_or_else(|| DbError::BadParam("block_size must be a byte size".into()))?;
-            table = Arc::new(table.rechunk(bytes)?);
-        }
-
-        // --- Logical plan (validates columns against the catalog) -------
-        let kind = self.resolve_model_kind(model_name_raw, &table)?;
-        let mut sparams = StrategyParams::default()
-            .with_buffer_fraction(buffer_fraction)
-            .with_seed(seed)
-            .with_io_budget(io_budget);
-
-        // --- Cost-based strategy planning --------------------------------
-        // A query that names a strategy gets exactly that strategy;
-        // `planner = 0` pins the historical default (plain CorgiPile), the
-        // A/B oracle for the chooser. Otherwise the cost model combines the
-        // (cached) block-variance estimate ĥ_D with the device profile and
-        // picks both the strategy and its buffer fraction — an explicit
-        // `buffer_fraction` parameter stays authoritative.
-        let strategy = match strategy {
-            Some(kind) => kind,
-            None if !planner => StrategyKind::CorgiPile,
-            None => {
-                let hd = self.block_variance(table_name, &table, seed, !rechunked);
-                let profile = self.dev.profile();
-                let pick = CostModel::new(epochs).choose(&table, &profile, &sparams, hd);
-                if !opts.is_set("buffer_fraction") {
-                    sparams = sparams.with_buffer_fraction(pick.buffer_fraction);
-                }
-                pick.kind
-            }
-        };
-        let spec = TrainPlanSpec {
-            table: table_name.to_string(),
-            model: kind.name().to_string(),
-            epochs,
-            strategy,
-            projection: projection.clone(),
-            filter: filter.clone(),
-            buffer_blocks: sparams.buffer_blocks(&table),
-        };
-        let mut plan = LogicalPlan::build(&spec, &table)?;
-        if pushdown {
-            plan = plan.push_down();
-        }
-
-        // --- Model ------------------------------------------------------
+        spec: TrainSpec,
+        snapshot: TableSnapshot,
+    ) -> Result<DbTrainSummary, DbError> {
+        let mut snapshot_version = snapshot.version();
+        let plan = self.plan_train(&spec, snapshot.into_table())?;
+        let mut table = Arc::clone(&plan.table);
+        let mut logical = plan.logical(&spec, &table)?;
         let dim_all = table.get_tuple(0)?.features.dim();
-        let projected = projection.feature_indices();
+        let projected = spec.projection.feature_indices();
         let dim = projected.as_ref().map(|c| c.len()).unwrap_or(dim_all);
-        let model = build_model(&kind, dim, seed);
-        let optimizer = OptimizerKind::Sgd {
-            lr0: learning_rate,
-            decay,
-        }
-        .build();
-        let options = TrainOptions {
-            batch_size,
-            clip_norm: 0.0,
-            l2,
-        };
-
-        // --- Physical plan (single construction site: plan.rs) ----------
-        let catalog = self.db.catalog();
-        let physical = build_physical_with(
-            &plan,
-            &table,
-            table_name,
-            &sparams,
-            seed,
-            &mut self.dev,
-            catalog,
-            BuildOptions {
-                fuse,
-                shared_scan: false,
-            },
-        )?;
-        let setup_seconds = physical.setup_seconds;
-
-        let mut sgd = SgdOperator::new(
-            physical.child,
-            model,
-            optimizer,
-            options,
-            self.compute,
-            epochs,
-            double_buffer,
-        );
-        sgd.setup_seconds = setup_seconds;
-        sgd.fused = physical.fused;
         // Evaluation sees exactly what training saw: the filtered,
         // projected tuple set, streamed from the pinned table.
-        let eval = EvalView {
-            table: Arc::clone(&table),
-            filter: filter.clone(),
+        let eval_view = |table: &Arc<Table>| EvalView {
+            table: Arc::clone(table),
+            filter: spec.filter.clone(),
             projection: projected.clone(),
         };
-        if report_metrics {
-            sgd.eval_each_epoch = Some(eval.clone());
-        }
-        sgd.checkpoint_seed = seed;
-        sgd.halt_after_epoch = halt_after_epoch;
-        if resume {
-            let path = checkpoint_path.as_ref().expect("validated above");
-            sgd.resume_from = Some(TrainCheckpoint::load(path)?);
-        }
-        sgd.checkpoint_path = checkpoint_path;
+        let stored_name = spec
+            .model_name
+            .clone()
+            .unwrap_or_else(|| format!("{}_{}", spec.table, plan.kind.name()));
 
-        // --- Durable training (WAL-backed model store) -------------------
-        let stored_name = params
-            .get("model_name")
-            .and_then(|v| v.as_text())
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| format!("{table_name}_{}", kind.name()));
-        let mut durable_store = None;
-        let mut durable_version = None;
-        if durable {
-            let store = self.db.model_store().cloned().ok_or_else(|| {
-                DbError::BadParam(
-                    "durable = 1 requires an engine opened with a model store \
-                     (Database::with_model_store)"
-                        .into(),
-                )
-            })?;
-            // Auto-resume: the latest durable version of this name continues
-            // where it left off iff it matches this query (same seed, source
-            // table and model shape) and is unfinished; anything else trains
-            // a fresh version. An explicit `resume = 1` checkpoint file wins
-            // over the store's record.
-            let mut version = store.next_version(&stored_name);
-            if !resume {
-                if let Some(rec) = store.latest(&stored_name) {
-                    let resumable = rec.checkpoint.seed == seed
-                        && rec.source == table_name
-                        && rec.stored.kind == kind
-                        && rec.stored.dim == dim
-                        && (rec.epoch as usize) < epochs;
-                    if resumable {
-                        sgd.resume_from = Some(rec.checkpoint.clone());
-                        version = rec.version;
-                    }
+        let epochs = spec.epochs;
+        let mut records: Vec<DbEpochRecord> = Vec::new();
+        let mut setup_seconds = 0.0f64;
+        let mut filtered = 0u64;
+        let mut checkpoint: Option<TrainCheckpoint> = None;
+        let mut durable = None;
+        let mut chunk = 0usize;
+        let mut start = 0usize;
+        let (model, op_stats, halted) = loop {
+            if chunk > 0 {
+                // Epoch boundary reached: let a registered harness inject
+                // its deterministic drift, then pick up the latest
+                // published snapshot for the next chunk of epochs.
+                if let Some(hook) = self.refresh_hook.as_mut() {
+                    hook(chunk);
                 }
+                let snapshot = self.catalog().snapshot(&spec.table)?;
+                snapshot_version = snapshot.version();
+                table = snapshot.into_table();
+                logical = plan.logical(&spec, &table)?;
             }
-            durable_version = Some(version);
-            let sink_store = store.clone();
-            let sink_name = stored_name.clone();
-            let sink_source = table_name.to_string();
-            let sink_kind = kind.clone();
-            sgd.checkpoint_sink = Some(Box::new(move |ck, epoch_loss| {
-                sink_store.record_checkpoint(
-                    &sink_name,
-                    &sink_source,
-                    version,
-                    StoredModel {
-                        kind: sink_kind.clone(),
-                        dim,
-                        params: ck.model_params.clone(),
-                        train_loss: epoch_loss,
-                    },
-                    ck.clone(),
-                )
-            }));
-            durable_store = Some(store);
-        }
-        let wal_before = durable_store.as_ref().map(|s| s.stats());
-        // Pool choice: an explicit `shared_buffers` parameter keeps the old
-        // per-query private pool; otherwise the engine's shared pool serves
-        // the query whenever the engine has one configured.
-        let mut private_pool = if shared_buffers > 0 {
-            let mut p = PoolHandle::private(BufferPool::new(shared_buffers));
-            p.set_telemetry(&self.telemetry);
-            Some(p)
-        } else {
-            None
+            let end = (start + spec.refresh).min(epochs);
+            let physical = build_physical_with(
+                &logical,
+                &table,
+                &spec.table,
+                &plan.sparams,
+                spec.sparams.seed,
+                &mut self.dev,
+                self.db.catalog(),
+                BuildOptions {
+                    fuse: spec.fuse,
+                    shared_scan: false,
+                },
+            )?;
+            setup_seconds += physical.setup_seconds;
+            let mut sgd = SgdOperator::new(
+                physical.child,
+                build_model(&plan.kind, dim, spec.sparams.seed),
+                spec.optimizer.build(),
+                spec.options.clone(),
+                self.compute,
+                epochs,
+                spec.double_buffer,
+            );
+            sgd.setup_seconds = physical.setup_seconds;
+            sgd.fused = physical.fused;
+            if spec.report_metrics {
+                sgd.eval_each_epoch = Some(eval_view(&table));
+            }
+            sgd.checkpoint_seed = spec.sparams.seed;
+            // Later chunks resume the previous chunk's final checkpoint.
+            // The restart knobs reach only the first chunk: CONTINUOUS
+            // rejects them, so they always come with a one-chunk run.
+            sgd.resume_from = match checkpoint.take() {
+                Some(ck) => Some(ck),
+                None => match (&spec.checkpoint, spec.resume) {
+                    (Some(path), true) => Some(TrainCheckpoint::load(path)?),
+                    _ => None,
+                },
+            };
+            sgd.checkpoint_path = spec.checkpoint.clone();
+            sgd.halt_after_epoch = if end < epochs {
+                Some(end - 1)
+            } else {
+                spec.halt_after_epoch
+            };
+            if spec.durable {
+                durable = Some(self.attach_durable_store(
+                    &mut sgd,
+                    &spec,
+                    &plan.kind,
+                    dim,
+                    &stored_name,
+                )?);
+            }
+            // Only a chunk that another chunk follows hands its final
+            // checkpoint on.
+            let slot: Rc<RefCell<Option<TrainCheckpoint>>> = Rc::default();
+            if end < epochs {
+                let sink = Rc::clone(&slot);
+                sgd.checkpoint_sink = Some(Box::new(move |ck, _| {
+                    *sink.borrow_mut() = Some(ck.clone());
+                    Ok(())
+                }));
+            }
+            // Pool choice: an explicit `shared_buffers` parameter keeps a
+            // per-query private pool; otherwise the engine's shared pool
+            // serves the query whenever the engine has one configured.
+            let mut private_pool = (spec.shared_buffers > 0).then(|| {
+                let mut p = PoolHandle::private(BufferPool::new(spec.shared_buffers));
+                p.set_telemetry(&self.telemetry);
+                p
+            });
+            let mut ctx = ExecContext::new(&mut self.dev);
+            ctx.pool = match private_pool.as_mut() {
+                Some(p) => Some(p),
+                None if self.pool.capacity() > 0 => Some(&mut self.pool),
+                None => None,
+            };
+            ctx.retry = RetryPolicy::with_max_retries(spec.max_retries);
+            ctx.on_fault = spec.on_fault;
+            let mut result = sgd.execute(&mut ctx)?;
+            checkpoint = slot.borrow_mut().take();
+            filtered += result.op_stats.iter().map(|s| s.rows_filtered).sum::<u64>();
+            records.append(&mut result.epochs);
+            if end >= epochs {
+                break (result.model, result.op_stats, result.halted);
+            }
+            start = end;
+            chunk += 1;
         };
-        let mut ctx = ExecContext::new(&mut self.dev);
-        ctx.pool = match private_pool.as_mut() {
-            Some(p) => Some(p),
-            None if self.pool.capacity() > 0 => Some(&mut self.pool),
-            None => None,
-        };
-        ctx.retry = RetryPolicy::with_max_retries(max_retries);
-        ctx.on_fault = on_fault;
-        let result = sgd.execute(&mut ctx)?;
 
         // Durability cost is observable per session: the WAL work this
         // query caused, mirrored as `storage.wal.*` counters (the same
         // numbers EXPLAIN ANALYZE renders on its WAL line).
-        if let (Some(store), Some(before)) = (&durable_store, wal_before) {
+        if let Some((store, _, before)) = &durable {
             let s = store.stats();
-            self.telemetry
-                .counter("storage.wal.appends")
-                .add(s.appends - before.appends);
-            self.telemetry
-                .counter("storage.wal.appended_bytes")
-                .add(s.appended_bytes - before.appended_bytes);
-            self.telemetry
-                .counter("storage.wal.fsyncs")
-                .add(s.fsyncs - before.fsyncs);
-            self.telemetry
-                .counter("storage.wal.compactions")
-                .add(s.compactions - before.compactions);
+            for (name, delta) in [
+                ("storage.wal.appends", s.appends - before.appends),
+                (
+                    "storage.wal.appended_bytes",
+                    s.appended_bytes - before.appended_bytes,
+                ),
+                ("storage.wal.fsyncs", s.fsyncs - before.fsyncs),
+                (
+                    "storage.wal.compactions",
+                    s.compactions - before.compactions,
+                ),
+            ] {
+                self.telemetry.counter(name).add(delta);
+            }
         }
-
+        if spec.continuous {
+            self.telemetry
+                .counter("db.train.continuous_chunks")
+                .add((chunk + 1) as u64);
+        }
         // Selectivity is observable even when telemetry consumers never
         // look at op stats: total rows the scan's fused predicate dropped.
-        let filtered: u64 = result.op_stats.iter().map(|s| s.rows_filtered).sum();
         if filtered > 0 {
             self.telemetry
                 .counter("db.scan.rows_filtered")
                 .add(filtered);
         }
 
-        // --- Evaluate & store --------------------------------------------
-        let final_metric = eval.metric(result.model.as_ref())?;
-        let train_loss = result.epochs.last().map(|e| e.train_loss).unwrap_or(0.0);
+        // --- Evaluate & store (against the last pinned snapshot) ----------
+        let final_metric = eval_view(&table).metric(model.as_ref())?;
         let stored = StoredModel {
-            kind: kind.clone(),
+            kind: plan.kind.clone(),
             dim,
-            params: result.model.params().to_vec(),
-            train_loss,
+            params: model.params().to_vec(),
+            train_loss: records.last().map(|e| e.train_loss).unwrap_or(0.0),
         };
         self.catalog()
             .store_model(stored_name.clone(), stored.clone());
@@ -1069,19 +1147,82 @@ impl Session {
         // this one. Durable runs reuse their WAL version number so the
         // cache, store and SHOW MODELS agree.
         let cache = self.db.model_cache();
-        let version = durable_version.unwrap_or_else(|| cache.next_version(&stored_name));
+        let version = match &durable {
+            Some((_, version, _)) => *version,
+            None => cache.next_version(&stored_name),
+        };
         cache.publish(ServableModel::new(&stored_name, version, stored), true);
-        Ok(QueryResult::Train(DbTrainSummary {
+        Ok(DbTrainSummary {
             model_name: stored_name,
-            model_kind: kind,
-            strategy: strategy.name().to_string(),
+            model_kind: plan.kind,
+            strategy: plan.strategy.name().to_string(),
             snapshot_version,
             setup_seconds,
-            epochs: result.epochs,
+            epochs: records,
             final_train_metric: final_metric,
-            halted: result.halted,
-            op_stats: result.op_stats,
-        }))
+            halted,
+            op_stats,
+        })
+    }
+
+    /// `WITH durable = 1`: checkpoint every epoch of `sgd` into the
+    /// engine's WAL-backed model store. Returns the store, the model
+    /// version the run writes, and the store's counters before the run.
+    ///
+    /// Auto-resume: the latest durable version of this name continues
+    /// where it left off iff it matches this query (same seed, source
+    /// table and model shape) and is unfinished; anything else trains a
+    /// fresh version. An explicit `resume = 1` checkpoint file wins over
+    /// the store's record.
+    fn attach_durable_store(
+        &self,
+        sgd: &mut SgdOperator,
+        spec: &TrainSpec,
+        kind: &ModelKind,
+        dim: usize,
+        stored_name: &str,
+    ) -> Result<(Arc<ModelStore>, u32, ModelStoreStats), DbError> {
+        let store = self.db.model_store().cloned().ok_or_else(|| {
+            DbError::BadParam(
+                "durable = 1 requires an engine opened with a model store \
+                 (Database::with_model_store)"
+                    .into(),
+            )
+        })?;
+        let mut version = store.next_version(stored_name);
+        if !spec.resume {
+            if let Some(rec) = store.latest(stored_name) {
+                let resumable = rec.checkpoint.seed == spec.sparams.seed
+                    && rec.source == spec.table
+                    && rec.stored.kind == *kind
+                    && rec.stored.dim == dim
+                    && (rec.epoch as usize) < spec.epochs;
+                if resumable {
+                    sgd.resume_from = Some(rec.checkpoint.clone());
+                    version = rec.version;
+                }
+            }
+        }
+        let sink_store = Arc::clone(&store);
+        let sink_name = stored_name.to_string();
+        let sink_source = spec.table.clone();
+        let sink_kind = kind.clone();
+        sgd.checkpoint_sink = Some(Box::new(move |ck, epoch_loss| {
+            sink_store.record_checkpoint(
+                &sink_name,
+                &sink_source,
+                version,
+                StoredModel {
+                    kind: sink_kind.clone(),
+                    dim,
+                    params: ck.model_params.clone(),
+                    train_loss: epoch_loss,
+                },
+                ck.clone(),
+            )
+        }));
+        let before = store.stats();
+        Ok((store, version, before))
     }
 
     /// `INSERT INTO <table> VALUES (…), …`: append through the catalog's
@@ -1123,266 +1264,6 @@ impl Session {
             version: out.version,
             total_tuples: out.total_tuples,
         })
-    }
-
-    /// `TRAIN … CONTINUOUS`: chunked training over the snapshot chain.
-    ///
-    /// The run splits its `max_epoch_num` epochs into chunks of `refresh`
-    /// epochs. Each chunk pins the *latest* snapshot at its start,
-    /// rebuilds the physical plan over it, and resumes the model from the
-    /// previous chunk's checkpoint — the same epoch-replay resume the
-    /// durable store uses — so every individual scan is bit-reproducible
-    /// on its pinned version while appended data is picked up at epoch
-    /// granularity. Over a table that never changes, the chunked run is
-    /// bit-identical to the equivalent plain `TRAIN`.
-    ///
-    /// The strategy (and the planner's buffer fraction) is resolved once,
-    /// on the first pinned snapshot, and held for the whole run: a
-    /// drifting table must not flip the access path mid-model.
-    fn train_continuous(
-        &mut self,
-        table_name: &str,
-        model_name_raw: &str,
-        projection: Projection,
-        filter: Option<Predicate>,
-        strategy: Option<StrategyKind>,
-        params: BTreeMap<String, ParamValue>,
-    ) -> Result<QueryResult, DbError> {
-        let opts = QueryOptions::parse(Statement::Train, &params)?;
-        // Checkpoint/resume knobs steer the single-shot path's restart
-        // story; CONTINUOUS owns the checkpoint chain itself.
-        for knob in [
-            "durable",
-            "resume",
-            "checkpoint",
-            "halt_after_epoch",
-            "block_size",
-        ] {
-            if params.contains_key(knob) {
-                return Err(DbError::BadParam(format!(
-                    "{knob} is not supported with TRAIN … CONTINUOUS"
-                )));
-            }
-        }
-        let learning_rate = opts.float("learning_rate", 0.1)? as f32;
-        let decay = opts.float("decay", 0.95)? as f32;
-        let epochs = opts.nonneg_int("max_epoch_num", 10)?;
-        let refresh = opts.positive_int("refresh", epochs.max(1))?;
-        let buffer_fraction = opts.fraction("buffer_fraction", 0.10)?;
-        let io_budget = opts.fraction("io_budget", StrategyParams::default().io_budget)?;
-        let batch_size = opts.nonneg_int("batch_size", 1)?.max(1);
-        let seed = opts.nonneg_int("seed", 42)? as u64;
-        let double_buffer = opts.flag("double_buffer", true)?;
-        let l2 = opts.float("l2", 0.0)? as f32;
-        if l2 < 0.0 {
-            return Err(DbError::BadParam("l2 must be non-negative".into()));
-        }
-        let shared_buffers = opts.nonneg_int("shared_buffers", 0)?;
-        let report_metrics = opts.flag("report_metrics", false)?;
-        let planner = opts.flag("planner", true)?;
-        let max_retries = opts.nonneg_int("max_retries", 4)? as u32;
-        let on_fault = match params.get("on_fault") {
-            None => FaultAction::Fail,
-            Some(v) => match v.as_text() {
-                Some("fail") => FaultAction::Fail,
-                Some("skip") => FaultAction::SkipBlock,
-                _ => {
-                    return Err(DbError::BadParam(
-                        "on_fault must be 'fail' or 'skip'".into(),
-                    ))
-                }
-            },
-        };
-        let pushdown = opts.flag("pushdown", true)?;
-        let fuse = opts.flag("fuse", true)?;
-
-        // --- First pin: model shape and strategy resolve here ------------
-        let mut snapshot = self.catalog().snapshot(table_name)?;
-        let kind = self.resolve_model_kind(model_name_raw, snapshot.table())?;
-        let mut sparams = StrategyParams::default()
-            .with_buffer_fraction(buffer_fraction)
-            .with_seed(seed)
-            .with_io_budget(io_budget);
-        let strategy = match strategy {
-            Some(kind) => kind,
-            None if !planner => StrategyKind::CorgiPile,
-            None => {
-                let hd = self.block_variance(table_name, &snapshot, seed, true);
-                let profile = self.dev.profile();
-                let pick = CostModel::new(epochs).choose(&snapshot, &profile, &sparams, hd);
-                if !opts.is_set("buffer_fraction") {
-                    sparams = sparams.with_buffer_fraction(pick.buffer_fraction);
-                }
-                pick.kind
-            }
-        };
-        let dim_all = snapshot.get_tuple(0)?.features.dim();
-        let projected = projection.feature_indices();
-        let dim = projected.as_ref().map(|c| c.len()).unwrap_or(dim_all);
-        let eval_view = |table: &Arc<Table>| EvalView {
-            table: Arc::clone(table),
-            filter: filter.clone(),
-            projection: projected.clone(),
-        };
-
-        // --- Chunk loop ---------------------------------------------------
-        let mut all_epochs: Vec<DbEpochRecord> = Vec::new();
-        let mut setup_total = 0.0f64;
-        let mut filtered_total = 0u64;
-        let mut checkpoint: Option<TrainCheckpoint> = None;
-        // All four are assigned on every iteration before the loop can
-        // break, so they need no placeholder values.
-        let mut trained;
-        let mut last_op_stats;
-        let mut final_table: Arc<Table>;
-        let mut snapshot_version;
-        let mut chunk = 0usize;
-        let mut start = 0usize;
-        loop {
-            if chunk > 0 {
-                // Epoch boundary reached: let a registered harness inject
-                // its deterministic drift, then pick up the latest
-                // published snapshot for the next chunk of epochs.
-                if let Some(hook) = self.refresh_hook.as_mut() {
-                    hook(chunk);
-                }
-                snapshot = self.catalog().snapshot(table_name)?;
-            }
-            let table: Arc<Table> = snapshot.table().clone();
-            let end = (start + refresh).min(epochs);
-            let spec = TrainPlanSpec {
-                table: table_name.to_string(),
-                model: kind.name().to_string(),
-                epochs,
-                strategy,
-                projection: projection.clone(),
-                filter: filter.clone(),
-                buffer_blocks: sparams.buffer_blocks(&table),
-            };
-            let mut plan = LogicalPlan::build(&spec, &table)?;
-            if pushdown {
-                plan = plan.push_down();
-            }
-            let catalog = self.db.catalog();
-            let physical = build_physical_with(
-                &plan,
-                &table,
-                table_name,
-                &sparams,
-                seed,
-                &mut self.dev,
-                catalog,
-                BuildOptions {
-                    fuse,
-                    shared_scan: false,
-                },
-            )?;
-            setup_total += physical.setup_seconds;
-            let model = build_model(&kind, dim, seed);
-            let optimizer = OptimizerKind::Sgd {
-                lr0: learning_rate,
-                decay,
-            }
-            .build();
-            let options = TrainOptions {
-                batch_size,
-                clip_norm: 0.0,
-                l2,
-            };
-            let mut sgd = SgdOperator::new(
-                physical.child,
-                model,
-                optimizer,
-                options,
-                self.compute,
-                epochs,
-                double_buffer,
-            );
-            sgd.setup_seconds = physical.setup_seconds;
-            sgd.fused = physical.fused;
-            sgd.checkpoint_seed = seed;
-            sgd.resume_from = checkpoint.take();
-            if end < epochs {
-                sgd.halt_after_epoch = Some(end.saturating_sub(1));
-            }
-            if report_metrics {
-                sgd.eval_each_epoch = Some(eval_view(&table));
-            }
-            // The chunk's final checkpoint seeds the next chunk's resume.
-            let slot: Rc<RefCell<Option<TrainCheckpoint>>> = Rc::new(RefCell::new(None));
-            let sink = Rc::clone(&slot);
-            sgd.checkpoint_sink = Some(Box::new(move |ck, _| {
-                *sink.borrow_mut() = Some(ck.clone());
-                Ok(())
-            }));
-            let mut private_pool = if shared_buffers > 0 {
-                let mut p = PoolHandle::private(BufferPool::new(shared_buffers));
-                p.set_telemetry(&self.telemetry);
-                Some(p)
-            } else {
-                None
-            };
-            let mut ctx = ExecContext::new(&mut self.dev);
-            ctx.pool = match private_pool.as_mut() {
-                Some(p) => Some(p),
-                None if self.pool.capacity() > 0 => Some(&mut self.pool),
-                None => None,
-            };
-            ctx.retry = RetryPolicy::with_max_retries(max_retries);
-            ctx.on_fault = on_fault;
-            let mut result = sgd.execute(&mut ctx)?;
-            checkpoint = slot.borrow_mut().take();
-            filtered_total += result.op_stats.iter().map(|s| s.rows_filtered).sum::<u64>();
-            all_epochs.append(&mut result.epochs);
-            last_op_stats = result.op_stats;
-            trained = result.model;
-            final_table = table;
-            snapshot_version = snapshot.version();
-            if end >= epochs {
-                break;
-            }
-            start = end;
-            chunk += 1;
-        }
-        self.telemetry
-            .counter("db.train.continuous_chunks")
-            .add((chunk + 1) as u64);
-        if filtered_total > 0 {
-            self.telemetry
-                .counter("db.scan.rows_filtered")
-                .add(filtered_total);
-        }
-
-        // --- Evaluate & store (against the last pinned snapshot) ----------
-        let final_metric = eval_view(&final_table).metric(trained.as_ref())?;
-        let train_loss = all_epochs.last().map(|e| e.train_loss).unwrap_or(0.0);
-        let stored_name = params
-            .get("model_name")
-            .and_then(|v| v.as_text())
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| format!("{table_name}_{}", kind.name()));
-        let stored = StoredModel {
-            kind: kind.clone(),
-            dim,
-            params: trained.params().to_vec(),
-            train_loss,
-        };
-        self.catalog()
-            .store_model(stored_name.clone(), stored.clone());
-        let cache = self.db.model_cache();
-        let version = cache.next_version(&stored_name);
-        cache.publish(ServableModel::new(&stored_name, version, stored), true);
-        Ok(QueryResult::Train(DbTrainSummary {
-            model_name: stored_name,
-            model_kind: kind,
-            strategy: strategy.name().to_string(),
-            snapshot_version,
-            setup_seconds: setup_total,
-            epochs: all_epochs,
-            final_train_metric: final_metric,
-            halted: false,
-            op_stats: last_op_stats,
-        }))
     }
 
     /// The planner's ĥ_D estimate for a table: catalog cache when valid
@@ -1517,14 +1398,7 @@ impl Session {
                 servable.dim(),
             )));
         }
-        let spec = PredictPlanSpec {
-            table: table_name.to_string(),
-            model: model_name.to_string(),
-            version: opts.version,
-            filter: opts.filter.clone(),
-            batch_rows: opts.batch_rows,
-        };
-        let plan = LogicalPlan::build_predict(&spec, &table)?.push_down();
+        let plan = predict_plan(table_name, model_name, &opts, &table)?;
         let sparams = StrategyParams::default();
         let physical = build_physical_with(
             &plan,
@@ -1665,7 +1539,7 @@ impl Session {
 mod tests {
     use super::*;
     use corgipile_data::{DatasetSpec, Order};
-    use corgipile_storage::SimDevice;
+    use corgipile_storage::{IoStats, SimDevice};
 
     fn higgs_table(n: usize) -> Table {
         DatasetSpec::higgs_like(n)
@@ -3527,38 +3401,107 @@ mod tests {
         assert_ne!(new_tid, tid);
     }
 
+    /// One TRAIN on a fresh engine: the summary, the stored parameters'
+    /// bits and the session's device counters.
+    fn train_fresh(sql: &str) -> (DbTrainSummary, Vec<u32>, IoStats) {
+        let mut s = session_with_higgs(1000);
+        let t = train_summary(s.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}")));
+        let params = s.catalog().model("m").unwrap().params;
+        let bits = params.iter().map(|p| p.to_bits()).collect();
+        (t, bits, s.device().stats().clone())
+    }
+
+    /// Per-epoch `(train_loss, sim_seconds_end, train_metric)` bits.
+    fn epoch_bits(t: &DbTrainSummary) -> Vec<(u64, u64, Option<u64>)> {
+        t.epochs
+            .iter()
+            .map(|e| {
+                (
+                    e.train_loss.to_bits(),
+                    e.sim_seconds_end.to_bits(),
+                    e.train_metric.map(f64::to_bits),
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn train_continuous_on_a_static_table_matches_plain_train() {
-        let plain = "SELECT * FROM higgs TRAIN BY svm WITH max_epoch_num = 4, \
-                     seed = 7, model_name = m";
-        let mut a = session_with_higgs(1000);
-        a.execute(plain).unwrap();
-        let want = a.catalog().model("m").unwrap().params.clone();
-        // One chunk (refresh defaults to max_epoch_num) …
-        let mut b = session_with_higgs(1000);
-        let t = train_summary(
-            b.execute(
-                "SELECT * FROM higgs TRAIN BY svm CONTINUOUS WITH max_epoch_num = 4, \
-                 seed = 7, model_name = m",
-            )
-            .unwrap(),
-        );
-        assert_eq!(t.snapshot_version, 1);
-        assert_eq!(t.epochs.len(), 4);
-        assert!(!t.halted);
-        assert_eq!(b.catalog().model("m").unwrap().params, want);
-        // … and epoch-granular chunks (each resuming the last checkpoint)
-        // still match the uninterrupted plain run bit-for-bit.
+        for strategy in [
+            "strategy = 'no', ",
+            "strategy = 'block_only', ",
+            "strategy = 'corgipile', ",
+            "strategy = 'once', ",
+            "", // the planner's pick
+        ] {
+            for select in ["SELECT *", "SELECT f0, f3, f7, label"] {
+                for filter in ["", " WHERE f1 > 0"] {
+                    for metrics in ["", ", report_metrics = 1"] {
+                        let with = format!(
+                            "{strategy}max_epoch_num = 4, seed = 7, model_name = m{metrics}"
+                        );
+                        let head = format!("{select} FROM higgs{filter} TRAIN BY svm");
+                        let (plain, want, plain_io) = train_fresh(&format!("{head} WITH {with}"));
+                        assert_eq!(plain.snapshot_version, 1);
+                        assert_eq!(plain.epochs.len(), 4);
+                        // One chunk (refresh = max_epoch_num, also the
+                        // default) is the plain run, counters included …
+                        let one = format!("{head} CONTINUOUS WITH refresh = 4, {with}");
+                        let (t, got, io) = train_fresh(&one);
+                        assert_eq!(got, want, "{one}");
+                        assert_eq!(epoch_bits(&t), epoch_bits(&plain), "{one}");
+                        assert_eq!(t.setup_seconds.to_bits(), plain.setup_seconds.to_bits());
+                        assert_eq!(
+                            t.final_train_metric.to_bits(),
+                            plain.final_train_metric.to_bits(),
+                            "{one}"
+                        );
+                        assert_eq!(t.op_stats, plain.op_stats, "{one}");
+                        assert_eq!(io, plain_io, "{one}");
+                        assert_eq!(
+                            (t.strategy.as_str(), t.snapshot_version, t.halted),
+                            (plain.strategy.as_str(), 1, false)
+                        );
+                        // … and epoch-granular chunks, each resuming the
+                        // last checkpoint, still match it bit-for-bit.
+                        // Each chunk builds its own plan over its pin, so a
+                        // strategy with an offline copy writes that copy
+                        // once per chunk: it pays the setup again, and the
+                        // rewrite leaves the simulated device in another
+                        // state, so later epochs' I/O clock differs in the
+                        // last bits.
+                        let each = format!("{head} CONTINUOUS WITH refresh = 1, {with}");
+                        let (t, got, _) = train_fresh(&each);
+                        assert_eq!(got, want, "{each}");
+                        assert_eq!(
+                            t.final_train_metric.to_bits(),
+                            plain.final_train_metric.to_bits(),
+                            "{each}"
+                        );
+                        if plain.setup_seconds == 0.0 {
+                            assert_eq!(epoch_bits(&t), epoch_bits(&plain), "{each}");
+                            assert_eq!(t.setup_seconds.to_bits(), 0.0f64.to_bits(), "{each}");
+                        } else {
+                            let losses = |t: &DbTrainSummary| {
+                                epoch_bits(t)
+                                    .into_iter()
+                                    .map(|(loss, _, metric)| (loss, metric))
+                                    .collect::<Vec<_>>()
+                            };
+                            assert_eq!(losses(&t), losses(&plain), "{each}");
+                            assert!(t.setup_seconds > plain.setup_seconds, "{each}");
+                        }
+                        assert_eq!(t.strategy, plain.strategy, "{each}");
+                    }
+                }
+            }
+        }
         let mut c = session_with_higgs(1000);
-        let t = train_summary(
-            c.execute(
-                "SELECT * FROM higgs TRAIN BY svm CONTINUOUS WITH max_epoch_num = 4, \
-                 refresh = 1, seed = 7, model_name = m",
-            )
-            .unwrap(),
-        );
-        assert_eq!(t.epochs.len(), 4);
-        assert_eq!(c.catalog().model("m").unwrap().params, want);
+        c.execute(
+            "SELECT * FROM higgs TRAIN BY svm CONTINUOUS WITH max_epoch_num = 4, \
+             refresh = 1, seed = 7, model_name = m",
+        )
+        .unwrap();
         assert_eq!(c.telemetry().counter("db.train.continuous_chunks").get(), 4);
     }
 
@@ -3677,5 +3620,60 @@ mod tests {
             !lines.iter().any(|l| l.starts_with("Continuous:")),
             "{lines:?}"
         );
+    }
+
+    fn plan_lines(r: QueryResult) -> Vec<String> {
+        match r {
+            QueryResult::Plan(lines) => lines,
+            other => panic!("expected Plan, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn explain_train_rejects_what_train_rejects() {
+        let mut s = session_with_higgs(3000);
+        for sql in [
+            "SELECT * FROM higgs TRAIN BY svm CONTINUOUS WITH durable = 1",
+            "SELECT * FROM higgs TRAIN BY svm WITH resume = 1",
+            "SELECT * FROM higgs TRAIN BY svm WITH on_fault = 'bogus'",
+        ] {
+            let train = s.execute(sql).unwrap_err();
+            assert!(matches!(train, DbError::BadParam(_)), "{sql}: {train:?}");
+            let explain = s.execute(&format!("EXPLAIN {sql}")).unwrap_err();
+            assert_eq!(explain, train, "{sql}");
+        }
+        // EXPLAIN plans over the re-chunked table TRAIN reads.
+        let rechunked = higgs_table(3000).rechunk(65536).unwrap().num_blocks();
+        assert!(rechunked < higgs_table(3000).num_blocks());
+        let sql = "SELECT * FROM higgs TRAIN BY svm WITH strategy = 'corgipile', \
+                   block_size = 65536, max_epoch_num = 1";
+        let lines = plan_lines(s.execute(&format!("EXPLAIN {sql}")).unwrap());
+        let scan = format!("Scan: random order over {rechunked} blocks");
+        assert!(lines.iter().any(|l| l.trim() == scan), "{lines:?}");
+        let t = train_summary(s.execute(sql).unwrap());
+        let reads: u64 = t.op_stats.iter().map(|o| o.blocks_read).sum();
+        assert_eq!(reads, rechunked as u64);
+    }
+
+    #[test]
+    fn explain_predict_validates_options_like_predict() {
+        let mut s = session_with_higgs(500);
+        s.execute("SELECT * FROM higgs TRAIN BY lr WITH max_epoch_num = 1, model_name = m")
+            .unwrap();
+        for with in ["bogus = 1", "fuse = 2", "batch_rows = 0"] {
+            let sql = format!("PREDICT m ON higgs WITH {with}");
+            let predict = s.execute(&sql).unwrap_err();
+            assert!(
+                matches!(predict, DbError::BadParam(_)),
+                "{sql}: {predict:?}"
+            );
+            let explain = s.execute(&format!("EXPLAIN {sql}")).unwrap_err();
+            assert_eq!(explain, predict, "{sql}");
+        }
+        let lines = plan_lines(
+            s.execute("EXPLAIN PREDICT m ON higgs WITH batch_rows = 64, fuse = 0")
+                .unwrap(),
+        );
+        assert!(lines.iter().all(|l| !l.contains("Fused")), "{lines:?}");
     }
 }

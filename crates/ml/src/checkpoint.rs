@@ -83,24 +83,27 @@ impl TrainCheckpoint {
         let epoch_next = u64_at(8) as usize;
         let seed = u64_at(16);
         let sim_clock = f64::from_le_bytes(body[24..32].try_into().expect("8 bytes"));
-        let param_count = u64_at(32) as usize;
-        let params_end = 40usize
-            .checked_add(param_count.checked_mul(4).ok_or_else(too_short)?)
+        // Both length fields are bounded by the blob before anything is
+        // allocated, and no offset arithmetic can overflow: a CRC-valid
+        // blob with absurd lengths is corrupt, not a panic.
+        let params_end = usize::try_from(u64_at(32))
+            .ok()
+            .and_then(|n| n.checked_mul(4))
+            .and_then(|n| n.checked_add(40))
             .ok_or_else(too_short)?;
-        if body.len() < params_end + 8 {
+        let state_at = params_end.checked_add(8).ok_or_else(too_short)?;
+        if body.len() < state_at {
             return Err(too_short());
         }
-        let model_params: Vec<f32> = (0..param_count)
-            .map(|i| {
-                let o = 40 + 4 * i;
-                f32::from_le_bytes(body[o..o + 4].try_into().expect("4 bytes"))
-            })
-            .collect();
-        let state_len = u64_at(params_end) as usize;
-        if body.len() != params_end + 8 + state_len {
+        let state_len = u64_at(params_end);
+        if (body.len() - state_at) as u64 != state_len {
             return Err(StorageError::Corrupt("checkpoint length mismatch".into()));
         }
-        let optimizer_state = body[params_end + 8..].to_vec();
+        let model_params: Vec<f32> = body[40..params_end]
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
+            .collect();
+        let optimizer_state = body[state_at..].to_vec();
         Ok(TrainCheckpoint {
             epoch_next,
             seed,
@@ -186,6 +189,89 @@ mod tests {
                 TrainCheckpoint::from_bytes(&bad).is_err(),
                 "flip at byte {victim} undetected"
             );
+        }
+    }
+
+    /// `body` (a blob without its CRC) with a fresh, valid CRC appended.
+    fn with_crc(mut body: Vec<u8>) -> Vec<u8> {
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        body
+    }
+
+    /// The sample blob with its two length fields overwritten and the CRC
+    /// recomputed, so only the structure checks stand between the fields
+    /// and the decoder's offset arithmetic.
+    fn with_lengths(param_count: u64, state_len: u64) -> Vec<u8> {
+        let mut body = sample().to_bytes();
+        body.truncate(body.len() - 4);
+        body[32..40].copy_from_slice(&param_count.to_le_bytes());
+        let at = 40 + 4 * sample().model_params.len();
+        body[at..at + 8].copy_from_slice(&state_len.to_le_bytes());
+        with_crc(body)
+    }
+
+    /// A length field near zero, near the largest parameter count whose
+    /// byte size still fits, near `u64::MAX`, or anywhere.
+    fn length_field(raw: u64, pick: u8) -> u64 {
+        match pick % 4 {
+            0 => raw % 64,
+            1 => u64::MAX / 4 - raw % 64,
+            2 => u64::MAX - raw % 64,
+            _ => raw,
+        }
+    }
+
+    #[test]
+    fn absurd_length_fields_are_corrupt_not_a_panic() {
+        // 40 + 4 × param_count lands 3 bytes below usize::MAX, so the
+        // state-length offset after it overflows.
+        let near_max = (u64::MAX - 40) / 4;
+        for (count, state) in [
+            (near_max, 5),
+            (4, u64::MAX),
+            (4, u64::MAX - 60),
+            (u64::MAX, 5),
+        ] {
+            match TrainCheckpoint::from_bytes(&with_lengths(count, state)) {
+                Err(StorageError::Corrupt(_)) => {}
+                other => panic!("({count}, {state}): expected Corrupt, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            TrainCheckpoint::from_bytes(&with_lengths(4, 5)).unwrap(),
+            sample()
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// The decoder returns `Ok` or `Err` and never panics: on arbitrary
+        /// bytes (with and without the magic and a valid CRC), on every
+        /// single-bit flip of a valid blob, and on valid blobs whose length
+        /// fields were rewritten and re-checksummed.
+        #[test]
+        fn prop_decoder_never_panics(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..160),
+            bit in proptest::prelude::any::<usize>(),
+            raw in (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+            pick in (proptest::prelude::any::<u8>(), proptest::prelude::any::<u8>()),
+        ) {
+            let _ = TrainCheckpoint::from_bytes(&bytes);
+            let mut framed = MAGIC.to_vec();
+            framed.extend_from_slice(&bytes);
+            let _ = TrainCheckpoint::from_bytes(&with_crc(framed));
+
+            let mut flipped = sample().to_bytes();
+            let bit = bit % (8 * flipped.len());
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            proptest::prop_assert!(TrainCheckpoint::from_bytes(&flipped).is_err());
+
+            let blob = with_lengths(length_field(raw.0, pick.0), length_field(raw.1, pick.1));
+            if let Ok(ck) = TrainCheckpoint::from_bytes(&blob) {
+                proptest::prop_assert_eq!(ck, sample());
+            }
         }
     }
 

@@ -31,7 +31,7 @@ banner "Format check"
 cargo fmt --check
 
 banner "Clippy"
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 banner "Docs (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
